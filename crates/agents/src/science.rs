@@ -302,8 +302,10 @@ impl AnalysisAgent {
     /// Active-learning recommendation: the best of `n_candidates` random
     /// points under an exploration-weighted acquisition. The pool is
     /// drawn first (same RNG order as scoring inline — scoring consumes
-    /// no randomness), scored in one batched pass over the observations,
-    /// and the first maximal score wins, matching the naive scan.
+    /// no randomness), and the first maximal score wins, matching the
+    /// naive scan. The winner comes from the certified
+    /// [`RbfSurrogate::argmax_acquisition`]; debug builds also run the
+    /// exact scan and assert the same index.
     pub fn recommend(&self, dim: usize, n_candidates: usize, rng: &mut SimRng) -> Vec<f64> {
         if dim == 0 {
             return Vec::new();
@@ -321,14 +323,18 @@ impl AnalysisAgent {
                 candidates.push(rng.uniform());
             }
         }
-        scores.clear();
-        self.surrogate
-            .score_batch_with(dim, candidates, 0.6, acc, scores);
-        let mut bi = 0;
-        for (j, s) in scores.iter().enumerate().skip(1) {
-            if *s > scores[bi] {
-                bi = j;
+        let bi = self.surrogate.argmax_acquisition(dim, candidates, 0.6, acc);
+        if cfg!(debug_assertions) {
+            scores.clear();
+            self.surrogate
+                .score_batch_with(dim, candidates, 0.6, acc, scores);
+            let mut exact = 0;
+            for (j, s) in scores.iter().enumerate().skip(1) {
+                if *s > scores[exact] {
+                    exact = j;
+                }
             }
+            assert_eq!(bi, exact, "certified argmax drifted from the exact scan");
         }
         candidates[bi * dim..(bi + 1) * dim].to_vec()
     }

@@ -14,7 +14,9 @@
 //!   incumbent must match the reference's full rescan bit-for-bit, and
 //!   on periodic seeded candidate pools every batched prediction and
 //!   acquisition score must match the naive per-candidate path
-//!   bit-for-bit (`f64::to_bits` equality, not epsilon).
+//!   bit-for-bit (`f64::to_bits` equality, not epsilon), and the
+//!   certified [`RbfSurrogate::argmax_acquisition`] must pick the naive
+//!   path's first maximal score.
 //! * **Overhead budget.** The profiled propose phase must average under
 //!   [`PROPOSE_BUDGET_NANOS`] per proposal. Wall-clock lives on stdout
 //!   and in the exit code only — never in the artifact.
@@ -25,7 +27,9 @@
 //! Read `BENCH_propose.json` as: one entry per planner with its
 //! proposal/anchor/model/score counts (the `propose.*` sub-phase
 //! taxonomy of `evoflow_core::profile`) plus the mirror-replay check
-//! counts; `equivalence_mismatches` must be 0 everywhere.
+//! counts; `equivalence_mismatches` and `argmax_mismatches` must be 0
+//! everywhere, and `refined_candidates` ÷ `argmax_checks` is how many
+//! candidates per pool the certified argmax's filter could not prune.
 
 use evoflow_bench::{print_table, write_bench_summary};
 use evoflow_core::{
@@ -58,19 +62,34 @@ fn nanos_of(bd: &PhaseBreakdown, phase: Phase) -> u64 {
         .unwrap_or(0)
 }
 
+/// What a mirror replay checked and found.
+#[derive(Default)]
+struct Mirror {
+    observations: u64,
+    /// Bit-identity checks (incumbents, predictions, scores) and misses.
+    checks: u64,
+    mismatches: u64,
+    /// Certified-vs-naive argmax checks (one per pool) and misses.
+    argmax_checks: u64,
+    argmax_mismatches: u64,
+    /// Candidates the certified argmax's filter kept, over all pools.
+    refined: u64,
+}
+
 /// Replay a campaign ledger's proposal→result stream into mirrored
 /// optimized/naive surrogates, bit-comparing incumbents, predictions,
-/// and acquisition scores. Returns `(observations, checks, mismatches)`.
-fn mirror_replay(ledger: &CampaignLedger, dim: usize, lanes: usize, seed: u64) -> (u64, u64, u64) {
+/// and acquisition scores, and checking the certified argmax against
+/// the naive first maximum.
+fn mirror_replay(ledger: &CampaignLedger, dim: usize, lanes: usize, seed: u64) -> Mirror {
     let mut fast = RbfSurrogate::new(BANDWIDTH);
     let mut naive = NaiveRbfSurrogate::new(BANDWIDTH);
     let mut pending: Vec<VecDeque<Vec<f64>>> = vec![VecDeque::new(); lanes];
     let mut rng = SimRng::from_seed_u64(seed ^ 0x9E3779B97F4A7C15);
     let mut scratch = AccScratch::default();
     let (mut cands, mut preds, mut scores) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut observations, mut checks, mut mismatches) = (0u64, 0u64, 0u64);
+    let mut out = Mirror::default();
 
-    let mut compare_pool = |fast: &RbfSurrogate, naive: &NaiveRbfSurrogate| -> (u64, u64) {
+    let mut compare_pool = |fast: &RbfSurrogate, naive: &NaiveRbfSurrogate, out: &mut Mirror| {
         cands.clear();
         for _ in 0..POOL * dim {
             cands.push(rng.uniform());
@@ -79,23 +98,27 @@ fn mirror_replay(ledger: &CampaignLedger, dim: usize, lanes: usize, seed: u64) -
         fast.predict_batch_with(dim, &cands, &mut scratch, &mut preds);
         scores.clear();
         fast.score_batch_with(dim, &cands, KAPPA, &mut scratch, &mut scores);
-        let (mut c_checks, mut c_miss) = (0u64, 0u64);
+        let (mut naive_best, mut naive_max) = (0, f64::NAN);
         for j in 0..POOL {
             let c = &cands[j * dim..(j + 1) * dim];
             let (nm, nu) = naive.predict(c);
             let ns = naive.acquisition(c, KAPPA);
-            c_checks += 3;
-            c_miss += u64::from(preds[j].0.to_bits() != nm.to_bits());
-            c_miss += u64::from(preds[j].1.to_bits() != nu.to_bits());
-            c_miss += u64::from(scores[j].to_bits() != ns.to_bits());
+            out.checks += 3;
+            out.mismatches += u64::from(preds[j].0.to_bits() != nm.to_bits());
+            out.mismatches += u64::from(preds[j].1.to_bits() != nu.to_bits());
+            out.mismatches += u64::from(scores[j].to_bits() != ns.to_bits());
+            if j == 0 || ns > naive_max {
+                (naive_best, naive_max) = (j, ns);
+            }
         }
-        (c_checks, c_miss)
+        let certified = fast.argmax_acquisition(dim, &cands, KAPPA, &mut scratch);
+        out.argmax_checks += 1;
+        out.argmax_mismatches += u64::from(certified != naive_best);
+        out.refined += scratch.survivors() as u64;
     };
 
     // Degenerate pass: the empty surrogate must already agree.
-    let (c, m) = compare_pool(&fast, &naive);
-    checks += c;
-    mismatches += m;
+    compare_pool(&fast, &naive, &mut out);
 
     for ev in &ledger.events {
         match ev {
@@ -109,21 +132,19 @@ fn mirror_replay(ledger: &CampaignLedger, dim: usize, lanes: usize, seed: u64) -
                 // Mirror the analysis agents: minimize the negated score.
                 fast.observe(&params, -score);
                 naive.observe(&params, -score);
-                observations += 1;
+                out.observations += 1;
                 let fb = fast.best().map(|(x, y)| (x.to_vec(), y.to_bits()));
                 let nb = naive.best().map(|(x, y)| (x.to_vec(), y.to_bits()));
-                checks += 1;
-                mismatches += u64::from(fb != nb);
-                if (observations as usize).is_multiple_of(POOL_EVERY) {
-                    let (c, m) = compare_pool(&fast, &naive);
-                    checks += c;
-                    mismatches += m;
+                out.checks += 1;
+                out.mismatches += u64::from(fb != nb);
+                if (out.observations as usize).is_multiple_of(POOL_EVERY) {
+                    compare_pool(&fast, &naive, &mut out);
                 }
             }
             _ => {}
         }
     }
-    (observations, checks, mismatches)
+    out
 }
 
 fn config(kind: &PlannerKind, seed: u64) -> CampaignConfig {
@@ -144,6 +165,9 @@ struct PlannerOut {
     observations_mirrored: u64,
     equivalence_checks: u64,
     equivalence_mismatches: u64,
+    argmax_checks: u64,
+    argmax_mismatches: u64,
+    refined_candidates: u64,
 }
 
 #[derive(Serialize)]
@@ -188,10 +212,14 @@ fn main() {
         );
 
         // ---- Gate: optimized surrogate ≡ naive reference, bit for bit ----
-        let (obs, checks, mismatches) = mirror_replay(&ledger, space.dim(), lanes, seed);
+        let mirror = mirror_replay(&ledger, space.dim(), lanes, seed);
         assert_eq!(
-            mismatches, 0,
+            mirror.mismatches, 0,
             "{label}: optimized surrogate drifted from the naive reference"
+        );
+        assert_eq!(
+            mirror.argmax_mismatches, 0,
+            "{label}: certified argmax drifted from the naive first maximum"
         );
 
         // ---- Gate: propose overhead within budget (wall-clock, stdout) ---
@@ -208,8 +236,12 @@ fn main() {
             proposals.to_string(),
             bd.count_of(Phase::ProposeAnchor).to_string(),
             bd.count_of(Phase::ProposeScore).to_string(),
-            obs.to_string(),
-            checks.to_string(),
+            mirror.observations.to_string(),
+            mirror.checks.to_string(),
+            format!(
+                "{:.2}",
+                mirror.refined as f64 / mirror.argmax_checks.max(1) as f64
+            ),
             format!("{:.1}", per_proposal as f64 / 1e3),
         ]);
         planners.push(PlannerOut {
@@ -219,9 +251,12 @@ fn main() {
             anchor_scans: bd.count_of(Phase::ProposeAnchor),
             model_calls: bd.count_of(Phase::ProposeModel),
             candidates_scored: bd.count_of(Phase::ProposeScore),
-            observations_mirrored: obs,
-            equivalence_checks: checks,
-            equivalence_mismatches: mismatches,
+            observations_mirrored: mirror.observations,
+            equivalence_checks: mirror.checks,
+            equivalence_mismatches: mirror.mismatches,
+            argmax_checks: mirror.argmax_checks,
+            argmax_mismatches: mirror.argmax_mismatches,
+            refined_candidates: mirror.refined,
         });
     }
 
@@ -234,23 +269,27 @@ fn main() {
             "scored",
             "mirrored",
             "checks",
+            "refined/pool",
             "µs/prop",
         ],
         &rows,
     );
     println!(
-        "  [PASS] optimized surrogate bit-identical to naive reference \
-         across {} planners",
+        "  [PASS] optimized surrogate bit-identical to naive reference, \
+         certified argmax equal to the naive first maximum, across {} planners",
         planners.len()
     );
     println!("  [PASS] propose overhead within {PROPOSE_BUDGET_NANOS} ns/proposal budget");
 
+    let equivalence_ok = planners
+        .iter()
+        .all(|p| p.equivalence_mismatches == 0 && p.argmax_mismatches == 0);
     let out = Out {
         kappa: KAPPA,
         pool: POOL,
         budget_nanos_per_proposal: PROPOSE_BUDGET_NANOS,
         planners,
-        equivalence_ok: true,
+        equivalence_ok,
         overhead_within_budget: true,
     };
     write_bench_summary("propose", &out);

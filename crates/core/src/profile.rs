@@ -260,9 +260,15 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
-    /// Total wall nanoseconds across phases.
+    /// Total wall nanoseconds across the top-level phases. The
+    /// `propose.*` sub-phases run inside `propose`'s scope, so adding
+    /// them would count that time twice.
     pub fn total_nanos(&self) -> u64 {
-        self.phases.iter().map(|s| s.nanos).sum()
+        self.phases
+            .iter()
+            .filter(|s| !s.phase.contains('.'))
+            .map(|s| s.nanos)
+            .sum()
     }
 
     /// The deterministic projection: same counts, `nanos` zeroed. This
@@ -338,6 +344,32 @@ mod tests {
         let b = prof.breakdown().counts_only();
         assert_eq!(b.count_of(Phase::Execute), 5);
         assert_eq!(b.total_nanos(), 0);
+    }
+
+    #[test]
+    fn total_nanos_counts_nested_phases_once() {
+        let stat = |phase: Phase, nanos| PhaseStat {
+            phase: Cow::Borrowed(phase.name()),
+            count: 1,
+            nanos,
+        };
+        let b = PhaseBreakdown {
+            phases: vec![
+                stat(Phase::Propose, 800),
+                stat(Phase::Execute, 20),
+                stat(Phase::Observe, 5),
+                stat(Phase::Emit, 175),
+                stat(Phase::Steal, 0),
+                stat(Phase::ProposeAnchor, 100),
+                stat(Phase::ProposeModel, 690),
+                stat(Phase::ProposeScore, 0),
+            ],
+            batches_flushed: 0,
+            events_emitted: 0,
+        };
+        // propose's 800 already hold anchor + model: 80% of 1000, not
+        // 800 of 1790.
+        assert_eq!(b.total_nanos(), 1000);
     }
 
     #[test]

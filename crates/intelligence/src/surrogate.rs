@@ -22,6 +22,49 @@
 //!   with reused scratch buffers, preserving the exact float-op order of
 //!   the naive per-candidate path — predictions are bit-identical, which
 //!   the [`mod@reference`] module and `bench_propose` gate.
+//! * **Certified argmax.** A planner only needs the *index* of the best
+//!   candidate, so [`argmax_acquisition`](RbfSurrogate::argmax_acquisition)
+//!   returns exactly the index a strict-`>` scan over
+//!   [`score_batch_with`](RbfSurrogate::score_batch_with) picks, but calls
+//!   libm `exp` only for candidates that can still win. A filter pass
+//!   computes each candidate's exact `d2`, `min_d2` and uncertainty, and
+//!   approximate kernel weights `w̃ᵢ = max(exp_approx(xᵢ), 1e-300)` from a
+//!   branch-free polynomial that vectorizes. Its approximate score `s̃`
+//!   differs from the exact score `s` by at most a bound `B`, built from
+//!   four terms (`m` observations with values `vᵢ`, `V = max|vᵢ|`,
+//!   `u = 2^-53`, `γₙ = n·u / (1 − n·u)`):
+//!   1. *Weights.* `exp_approx` is within ε/10 of `f64::exp` (ε =
+//!      `EXP_APPROX_EPS`; the Taylor remainder is under 7.4e-9, and a
+//!      unit test sweeps it). Its argument `d2·(−1/2h²)` differs from the
+//!      exact `−d2/(2h²)` by at most 3u·|x| ≤ 3u·708, under 3e-13 in
+//!      `e^x`. The `1e-300` floor is monotone, so it keeps a relative
+//!      error. Hence `w̃ᵢ = wᵢ(1 + δᵢ)` with `|δᵢ| ≤ ε`.
+//!   2. *Mean, in real arithmetic.* Both means are convex combinations
+//!      of the `vᵢ`. Each normalised weight moves by the factor
+//!      `(1 + δᵢ)/(1 + δ̄)`, so by at most `2ε/(1 − ε)` relative. Centred
+//!      on `c = (max v + min v)/2` this gives
+//!      `|μ̃ − μ| = |Σ (α̃ᵢ − αᵢ)(vᵢ − c)| ≤ ε/(1 − ε)·(max v − min v)`.
+//!   3. *Rounding of the sums.* Summing `m` weights and `m` products and
+//!      dividing puts each path's computed mean within `2γ_{m+2}·V` of
+//!      its real mean, so `4γ_{m+2}·V` for the pair. A product `w·v` that
+//!      underflows loses at most 2^-1075, against a weight sum of at
+//!      least `m·1e-300`: `UNDERFLOW_SLACK` covers it.
+//!   4. *Finishing ops.* `κ·unc` is bit-identical in both paths.
+//!      `incumbent − mean`, the final add, and the pruning comparisons'
+//!      `s̃ ± B` round once each, on operands below `2V + |κ|`:
+//!      `16u·(2V + |κ|)` covers all of them.
+//!
+//!   A candidate `j` with `s̃ⱼ + B < max_k(s̃ₖ − B)` has
+//!   `sⱼ ≤ s̃ⱼ + B < s̃ₖ − B ≤ sₖ`. It is strictly below another
+//!   candidate's exact score, so it can neither win nor tie, and is
+//!   pruned. The candidate `k` at the maximum always survives. So the
+//!   first maximum over the survivors, in index order, is the first
+//!   maximum over the pool. A lone survivor is returned without
+//!   re-scoring. Several are re-scored by the exact path. If
+//!   `2(m + 2)·V` or `κ` is not finite, `B` is infinite (a sum could
+//!   overflow), and any non-finite `s̃` voids the filter too: then the
+//!   whole pool gets the exact scan. Correctness needs `B` to be a
+//!   valid bound, never a tight one. A loose `B` only costs re-scoring.
 
 use crate::objective::Objective;
 use evoflow_sim::SimRng;
@@ -34,11 +77,25 @@ pub mod reference;
 /// [`RbfSurrogate::predict_batch_with`]. One instance can be shared by
 /// every surrogate in a planner pool — the buffers are resized to the
 /// candidate count on each call and carry no state between calls.
+///
+/// [`RbfSurrogate::argmax_acquisition`] reuses the same accumulators
+/// for its filter pass and keeps its own candidate columns and scores
+/// here too, so a propose loop allocates nothing per call. The one
+/// thing read back after a call is its survivor count.
 #[derive(Debug, Clone, Default)]
 pub struct AccScratch {
     wsum: Vec<f64>,
     vsum: Vec<f64>,
     min_d2: Vec<f64>,
+    /// Candidate coordinates transposed to one contiguous column per
+    /// dimension (the filter's SoA layout).
+    cols: Vec<f64>,
+    /// Per-candidate squared distance to the current observation.
+    d2: Vec<f64>,
+    /// Per-candidate approximate acquisition score.
+    approx: Vec<f64>,
+    /// Candidates the last `argmax_acquisition` call could not prune.
+    survivors: usize,
 }
 
 impl AccScratch {
@@ -50,6 +107,14 @@ impl AccScratch {
         self.vsum.resize(n, 0.0);
         self.min_d2.clear();
         self.min_d2.resize(n, f64::INFINITY);
+    }
+
+    /// How many candidates the last
+    /// [`RbfSurrogate::argmax_acquisition`] call kept as possible
+    /// winners: 1 when the filter alone settled the argmax, the whole
+    /// pool when it fell back to the exact scan.
+    pub fn survivors(&self) -> usize {
+        self.survivors
     }
 }
 
@@ -253,6 +318,145 @@ impl RbfSurrogate {
         self.score_batch_with(dim, candidates, kappa, &mut scratch, out);
     }
 
+    /// The index [`score_batch_with`](Self::score_batch_with)'s first
+    /// maximal score would pick (a strict-`>` scan from index 0; 0 for
+    /// an empty pool), computed without scoring every candidate
+    /// exactly. See the module docs' *certified argmax* for the bound
+    /// that makes this exact.
+    ///
+    /// A filter pass scores the pool with `exp_approx` weights and
+    /// prunes every candidate whose score, even at the top of its error
+    /// band, falls below another candidate's at the bottom of its band.
+    /// A lone survivor is the answer; several are re-scored exactly by
+    /// [`acquisition`] in index order. A non-finite bound or approximate
+    /// score keeps the whole pool, which then gets the full exact scan.
+    /// [`AccScratch::survivors`] reports how many candidates survived.
+    pub fn argmax_acquisition(
+        &self,
+        dim: usize,
+        candidates: &[f64],
+        kappa: f64,
+        scratch: &mut AccScratch,
+    ) -> usize {
+        let stride = dim.max(1);
+        let n = candidates.len() / stride;
+        if n <= 1 || self.values.is_empty() {
+            // Every score of an empty surrogate is `kappa`: the first wins.
+            scratch.survivors = n;
+            return 0;
+        }
+        let bound = self.filter(dim, candidates, kappa, scratch);
+        let approx = &scratch.approx;
+        let certified = bound.is_finite() && approx.iter().all(|s| s.is_finite());
+        // The best lower end of any candidate's band; nothing whose upper
+        // end falls below it can be the argmax.
+        let floor = approx
+            .iter()
+            .fold(f64::NEG_INFINITY, |t, s| t.max(s - bound));
+        let can_win = |j: usize| !certified || approx[j] + bound >= floor;
+        scratch.survivors = (0..n).filter(|&j| can_win(j)).count();
+        if scratch.survivors == 1 {
+            return (0..n).find(|&j| can_win(j)).expect("one survivor");
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for j in (0..n).filter(|&j| can_win(j)) {
+            let s = acquisition(self, &candidates[j * stride..j * stride + dim], kappa);
+            if best.is_none_or(|(_, b)| s > b) {
+                best = Some((j, s));
+            }
+        }
+        best.map_or(0, |(j, _)| j)
+    }
+
+    /// The certified argmax's filter pass: one observations-outer sweep
+    /// over the candidates' SoA columns computing the exact `d2`,
+    /// `min_d2` and uncertainty, but `exp_approx` kernel weights.
+    /// Leaves one approximate score per candidate in `scratch.approx` and
+    /// returns the bound `B` on |approximate − exact| score.
+    fn filter(&self, dim: usize, candidates: &[f64], kappa: f64, scratch: &mut AccScratch) -> f64 {
+        let stride = dim.max(1);
+        let n = candidates.len() / stride;
+        // `sq_dist` zips, so only the shared leading coordinates count.
+        let kdim = dim.min(self.dim);
+        scratch.reset(n);
+        let AccScratch {
+            wsum,
+            vsum,
+            min_d2,
+            cols,
+            d2,
+            approx,
+            ..
+        } = scratch;
+        cols.clear();
+        for k in 0..kdim {
+            cols.extend((0..n).map(|j| candidates[j * stride + k]));
+        }
+        // With no shared coordinates every `d2` stays the empty sum.
+        d2.clear();
+        d2.resize(n, Self::sq_dist(&[], &[]));
+        let d2 = &mut d2[..];
+        let h2 = self.bandwidth * self.bandwidth;
+        let neg_inv_2h2 = -1.0 / (2.0 * h2);
+        let (wsum, vsum, min_d2) = (&mut wsum[..n], &mut vsum[..n], &mut min_d2[..n]);
+        for (i, &v) in self.values.iter().enumerate() {
+            let p = self.point(i);
+            // `sq_dist`'s op order: the first square, then the rest added
+            // left to right (its `-0.0` sum seed leaves a square as is).
+            for (k, (&pk, col)) in p.iter().zip(cols.chunks_exact(n)).enumerate() {
+                if k == 0 {
+                    for (d, x) in d2.iter_mut().zip(col) {
+                        *d = (pk - x).powi(2);
+                    }
+                } else {
+                    for (d, x) in d2.iter_mut().zip(col) {
+                        *d += (pk - x).powi(2);
+                    }
+                }
+            }
+            let accs = min_d2.iter_mut().zip(wsum.iter_mut()).zip(vsum.iter_mut());
+            for (((mn, ws), vs), &d) in accs.zip(d2.iter()) {
+                // `f64::min` without its NaN fix-up, in one `minpd`: the
+                // same value, as `mn` is never NaN and a NaN `d` keeps it.
+                *mn = if d < *mn { d } else { *mn };
+                let w = exp_approx(d * neg_inv_2h2);
+                let w = if w > 1e-300 { w } else { 1e-300 };
+                *ws += w;
+                *vs += w * v;
+            }
+        }
+        let incumbent = self.incumbent();
+        approx.clear();
+        approx.extend((0..n).map(|j| {
+            let mean = vsum[j] / wsum[j];
+            let unc = 1.0 - (-min_d2[j] / (2.0 * h2)).exp();
+            (incumbent - mean) + kappa * unc
+        }));
+        self.score_bound(kappa)
+    }
+
+    /// The bound `B` on |approximate − exact| acquisition score, term
+    /// for term as derived in the module docs. Infinite when the values
+    /// are large enough for a sum to overflow, or `kappa` is not finite.
+    fn score_bound(&self, kappa: f64) -> f64 {
+        let (mut vmin, mut vmax) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &v in &self.values {
+            vmin = vmin.min(v);
+            vmax = vmax.max(v);
+        }
+        let vabs = vmax.max(-vmin);
+        let m = self.values.len() as f64;
+        if !(2.0 * (m + 2.0) * vabs).is_finite() || !kappa.is_finite() {
+            return f64::INFINITY;
+        }
+        let u = f64::EPSILON / 2.0;
+        let gamma = (m + 2.0) * u / (1.0 - (m + 2.0) * u);
+        let weights = EXP_APPROX_EPS / (1.0 - EXP_APPROX_EPS) * (vmax - vmin);
+        let sums = 4.0 * gamma * vabs + UNDERFLOW_SLACK;
+        let finish = 16.0 * u * (2.0 * vabs + kappa.abs());
+        weights + sums + finish
+    }
+
     /// The shared inner pass: stream the observations once, feeding every
     /// candidate's `(wsum, vsum, min_d2)` accumulators. Candidate `j`'s
     /// accumulators receive contributions in observation order whichever
@@ -279,6 +483,56 @@ impl RbfSurrogate {
         }
         n
     }
+}
+
+/// Relative error bound of `exp_approx` against `f64::exp` that the
+/// certified argmax's bound assumes. The unit tests sweep the kernel at
+/// a tenth of it; the slack covers the weight argument's own rounding.
+const EXP_APPROX_EPS: f64 = 1e-7;
+
+/// Absolute slack for products `w·v` that underflow: each loses at most
+/// 2^-1075, and every weight is at least `1e-300`, so the mean moves by
+/// at most 2^-1075 / 1e-300 ≈ 2.5e-24 per path.
+const UNDERFLOW_SLACK: f64 = 1e-23;
+
+/// `e^x` for `x ≤ 0` to relative error `EXP_APPROX_EPS`, without a
+/// libm call or a branch, so a loop of it vectorizes. Arguments below
+/// −708 are clamped there: `e^−708` is already under the `1e-300`
+/// weight floor, which is all the kernel weights need.
+///
+/// `x = k·ln 2 + r` with `k` rounded to nearest (the 1.5·2^52 shift
+/// leaves it in the low mantissa bits) and `|r| ≤ ln 2 / 2`; `e^r` is
+/// its degree-7 Taylor polynomial, whose relative error is at most
+/// `r^8/8! · e^|r|`, under 7.4e-9; `2^k` is built from `k`'s bits.
+#[inline(always)]
+fn exp_approx(x: f64) -> f64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    const C: [f64; 8] = [
+        1.0,
+        1.0,
+        1.0 / 2.0,
+        1.0 / 6.0,
+        1.0 / 24.0,
+        1.0 / 120.0,
+        1.0 / 720.0,
+        1.0 / 5040.0,
+    ];
+    // `>` (not `f64::max`) maps NaN to the clamp too, in one `maxpd`.
+    let x = if x > -708.0 { x } else { -708.0 };
+    let t = x * std::f64::consts::LOG2_E + SHIFT;
+    let k = t - SHIFT;
+    // One-constant reduction: `k·ln 2` is off by under 2e-13 for
+    // |k| ≤ 1022, far inside the bound.
+    let r = x - k * std::f64::consts::LN_2;
+    // Estrin's scheme: a short dependency chain for the out-of-order core.
+    let r2 = r * r;
+    let p = (C[0] + C[1] * r)
+        + r2 * (C[2] + C[3] * r)
+        + r2 * r2 * ((C[4] + C[5] * r) + r2 * (C[6] + C[7] * r));
+    // The low 12 bits of `t`'s mantissa hold `k` mod 4096; shifted into
+    // the exponent field and rebiased they make `2^k` for −1022 ≤ k ≤ 0.
+    let scale = f64::from_bits((t.to_bits() << 52).wrapping_add(1023 << 52));
+    p * scale
 }
 
 /// Expected-improvement-style acquisition: improvement of the predicted
@@ -331,15 +585,27 @@ pub struct OptResult {
 /// Run Bayesian optimization for `budget` evaluations of `f`.
 ///
 /// The candidate pool is drawn first (scoring consumes no randomness, so
-/// the draw sequence matches the old interleaved loop) and scored in one
-/// [`RbfSurrogate::score_batch_with`] pass with scratch reused across
-/// iterations; the argmax keeps the first maximal score, matching the
-/// naive strict-greater scan.
+/// the draw sequence matches the old interleaved loop) and its winner
+/// picked by [`RbfSurrogate::argmax_acquisition`] with scratch reused
+/// across iterations: the first maximal score, exactly as a strict-`>`
+/// scan over [`RbfSurrogate::score_batch_with`] would pick it.
 pub fn bayes_opt<O: Objective>(
     f: &mut O,
     budget: u64,
     cfg: BoConfig,
     rng: &mut SimRng,
+) -> OptResult {
+    bo_loop(f, budget, cfg, rng, RbfSurrogate::argmax_acquisition)
+}
+
+/// The [`bayes_opt`] loop with the pool's argmax as a parameter, so the
+/// tests can run it against the exact scan.
+fn bo_loop<O: Objective>(
+    f: &mut O,
+    budget: u64,
+    cfg: BoConfig,
+    rng: &mut SimRng,
+    argmax: impl Fn(&RbfSurrogate, usize, &[f64], f64, &mut AccScratch) -> usize,
 ) -> OptResult {
     let dim = f.dim();
     let mut surrogate = RbfSurrogate::new(cfg.bandwidth);
@@ -347,7 +613,6 @@ pub fn bayes_opt<O: Objective>(
     let mut best_x = vec![0.5; dim];
     let mut best_y = f64::INFINITY;
     let mut cands: Vec<f64> = Vec::new();
-    let mut scores: Vec<f64> = Vec::new();
     let mut scratch = AccScratch::default();
 
     for i in 0..budget {
@@ -355,7 +620,7 @@ pub fn bayes_opt<O: Objective>(
             (0..dim).map(|_| rng.uniform()).collect()
         } else {
             // Draw the candidate pool (half global, half near incumbent),
-            // then score it in one batched pass.
+            // then pick its acquisition argmax.
             let incumbent = surrogate
                 .best()
                 .map(|(p, _)| p)
@@ -373,14 +638,7 @@ pub fn bayes_opt<O: Objective>(
                     }
                 }
             }
-            scores.clear();
-            surrogate.score_batch_with(dim, &cands, cfg.kappa, &mut scratch, &mut scores);
-            let mut bi = 0;
-            for (j, s) in scores.iter().enumerate().skip(1) {
-                if *s > scores[bi] {
-                    bi = j;
-                }
-            }
+            let bi = argmax(&surrogate, dim, &cands, cfg.kappa, &mut scratch);
             cands[bi * dim..(bi + 1) * dim].to_vec()
         };
 
@@ -485,6 +743,153 @@ mod tests {
         let mut out = Vec::new();
         empty.score_batch(dim, &cands[..dim], 0.6, &mut out);
         assert_eq!(out, vec![0.6]);
+    }
+
+    /// The reference argmax: exact scores, strict-`>` scan from index 0.
+    fn exact_argmax(
+        s: &RbfSurrogate,
+        dim: usize,
+        cands: &[f64],
+        kappa: f64,
+        scratch: &mut AccScratch,
+    ) -> usize {
+        let mut scores = Vec::new();
+        s.score_batch_with(dim, cands, kappa, scratch, &mut scores);
+        let mut bi = 0;
+        for (j, v) in scores.iter().enumerate().skip(1) {
+            if *v > scores[bi] {
+                bi = j;
+            }
+        }
+        bi
+    }
+
+    #[test]
+    fn exp_approx_is_within_a_tenth_of_its_bound() {
+        // Dense sweep of [-745, 0]: the raw relative error wherever
+        // `f64::exp` is normal, and the floored kernel weights (what the
+        // argmax bound uses) everywhere, subnormal tail included.
+        let tol = EXP_APPROX_EPS / 10.0;
+        let steps = 2_000_000;
+        let mut worst = 0.0f64;
+        for i in 0..=steps {
+            let x = -745.0 * i as f64 / steps as f64;
+            let (a, e) = (exp_approx(x), x.exp());
+            if x >= -708.0 {
+                worst = worst.max((a - e).abs() / e);
+            }
+            let (wa, we) = (a.max(1e-300), e.max(1e-300));
+            assert!((wa - we).abs() <= tol * we, "x {x}: {wa} vs {we}");
+        }
+        assert!(worst <= tol, "worst relative error {worst}");
+        assert_eq!(exp_approx(0.0), 1.0);
+        assert_eq!(exp_approx(-0.0), 1.0);
+        assert_eq!(exp_approx(f64::NAN), exp_approx(-708.0));
+        assert_eq!(exp_approx(f64::NEG_INFINITY), exp_approx(-708.0));
+    }
+
+    #[test]
+    fn filter_scores_stay_within_the_bound() {
+        // The bound must cover the actual gap on every candidate, and
+        // still be small enough to prune.
+        let mut rng = SimRng::from_seed_u64(77);
+        let mut scratch = AccScratch::default();
+        for (case, &(m, scale, bw)) in [
+            (1usize, 1.0, 0.12),
+            (40, 1.0, 0.05),
+            (300, 1e3, 0.3),
+            (800, 1.0, 0.12),
+            (1200, 1e6, 0.7),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let dim = 1 + case % 4;
+            let mut s = RbfSurrogate::new(bw);
+            for _ in 0..m {
+                let x: Vec<f64> = (0..dim).map(|_| rng.uniform()).collect();
+                s.observe(&x, (rng.uniform() * 2.0 - 1.0) * scale);
+            }
+            let cands: Vec<f64> = (0..48 * dim).map(|_| rng.uniform() * 1.2 - 0.1).collect();
+            let bound = s.filter(dim, &cands, 0.6, &mut scratch);
+            let mut exact = Vec::new();
+            s.score_batch(dim, &cands, 0.6, &mut exact);
+            for (j, (a, e)) in scratch.approx.iter().zip(&exact).enumerate() {
+                assert!(
+                    (a - e).abs() <= bound,
+                    "case {case} cand {j}: {a} vs {e}, B {bound}"
+                );
+            }
+            assert!(bound <= 1e-6 * scale.max(1.0), "case {case}: B {bound}");
+        }
+    }
+
+    #[test]
+    fn argmax_acquisition_matches_exact_scan_and_prunes() {
+        let mut s = RbfSurrogate::new(0.12);
+        let mut rng = SimRng::from_seed_u64(21);
+        let dim = 3;
+        let mut scratch = AccScratch::default();
+        let mut pruned_to_one = 0;
+        for round in 0..60 {
+            for _ in 0..10 {
+                let x = [rng.uniform(), rng.uniform(), rng.uniform()];
+                s.observe(&x, rng.uniform() * 2.0 - 1.0);
+            }
+            let cands: Vec<f64> = (0..48 * dim).map(|_| rng.uniform()).collect();
+            let fast = s.argmax_acquisition(dim, &cands, 0.6, &mut scratch);
+            pruned_to_one += usize::from(scratch.survivors() == 1);
+            assert_eq!(
+                fast,
+                exact_argmax(&s, dim, &cands, 0.6, &mut scratch),
+                "round {round}"
+            );
+        }
+        // The filter is far tighter than the score gaps on such pools.
+        assert!(pruned_to_one >= 55, "only {pruned_to_one} of 60");
+        // Empty pools and empty surrogates pick index 0.
+        assert_eq!(s.argmax_acquisition(dim, &[], 0.6, &mut scratch), 0);
+        let empty = RbfSurrogate::new(0.12);
+        assert_eq!(
+            empty.argmax_acquisition(dim, &[0.1; 6], 0.6, &mut scratch),
+            0
+        );
+        // Zero-width points (`sq_dist` of nothing): every `d2` is the
+        // empty sum, so the weights tie and the uncertainty decides.
+        let mut flat = RbfSurrogate::new(0.12);
+        flat.observe(&[], 1.0);
+        flat.observe(&[], -2.0);
+        let fast = flat.argmax_acquisition(0, &[0.0; 5], 0.6, &mut scratch);
+        assert_eq!(fast, exact_argmax(&flat, 0, &[0.0; 5], 0.6, &mut scratch));
+        // A non-finite kappa voids the bound: the exact scan decides.
+        let cands: Vec<f64> = (0..8 * dim).map(|_| rng.uniform()).collect();
+        let fast = s.argmax_acquisition(dim, &cands, f64::NAN, &mut scratch);
+        assert_eq!(scratch.survivors(), 8);
+        assert_eq!(fast, exact_argmax(&s, dim, &cands, f64::NAN, &mut scratch));
+    }
+
+    #[test]
+    fn bayes_opt_trace_matches_the_exact_argmax_loop() {
+        for (seed, budget) in [(10u64, 60u64), (12, 90), (31, 120)] {
+            let cfg = BoConfig::default();
+            let fast = bayes_opt(
+                &mut Rastrigin::new(3),
+                budget,
+                cfg,
+                &mut SimRng::from_seed_u64(seed),
+            );
+            let exact = bo_loop(
+                &mut Rastrigin::new(3),
+                budget,
+                cfg,
+                &mut SimRng::from_seed_u64(seed),
+                exact_argmax,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast.trace), bits(&exact.trace), "seed {seed}");
+            assert_eq!(bits(&fast.best_x), bits(&exact.best_x), "seed {seed}");
+            assert_eq!(fast.best_y.to_bits(), exact.best_y.to_bits());
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! observation sets including extreme-magnitude floats, signed zeros,
 //! dimension-drifting points (both sides drop them), and degenerate
 //! empty / single-point surrogates.
+//!
+//! The certified [`RbfSurrogate::argmax_acquisition`] must pick exactly
+//! the index a strict-`>` scan over the reference's acquisition scores
+//! picks, ties and all.
 
 use evoflow_learn::{acquisition, AccScratch, NaiveRbfSurrogate, RbfSurrogate};
 use proptest::prelude::*;
@@ -79,7 +83,90 @@ fn assert_identical(
     Ok(())
 }
 
+/// Observation values: unit-ish, up to ±1e6, and a handful of repeated
+/// values (flat stretches of a landscape).
+fn observed_value() -> BoxedStrategy<f64> {
+    prop_oneof![
+        -1.5f64..1.5,
+        -1e6f64..1e6,
+        (0usize..4).prop_map(|v| v as f64 - 1.5),
+    ]
+    .boxed()
+}
+
+/// Coordinates: mostly near the unit cube, sometimes far outside it.
+fn coordinate() -> BoxedStrategy<f64> {
+    prop_oneof![-0.2f64..1.2, -0.2f64..1.2, -0.2f64..1.2, -1e3f64..1e3].boxed()
+}
+
+/// The reference argmax: the naive surrogate's acquisition per
+/// candidate, strict-`>` scan from index 0.
+fn naive_argmax(naive: &NaiveRbfSurrogate, dim: usize, pool: &[f64], kappa: f64) -> usize {
+    let scores: Vec<f64> = pool
+        .chunks(dim)
+        .map(|c| naive.acquisition(c, kappa))
+        .collect();
+    let mut bi = 0;
+    for (j, s) in scores.iter().enumerate().skip(1) {
+        if *s > scores[bi] {
+            bi = j;
+        }
+    }
+    bi
+}
+
 proptest! {
+    /// The certified argmax equals the naive first-maximum argmax on
+    /// arbitrary surrogates (up to 1 200 observations, past the planners'
+    /// 800 cap) and pools, including a candidate sitting on an
+    /// observation, duplicated winners (the tie goes to the lowest
+    /// index) and single-candidate pools.
+    #[test]
+    fn certified_argmax_is_the_naive_first_maximum(
+        dim in 1usize..7,
+        obs in prop::collection::vec(
+            (prop::collection::vec(coordinate(), 6), observed_value()),
+            0..1200,
+        ),
+        pool in prop::collection::vec(prop::collection::vec(coordinate(), 6), 1..64),
+        on_obs in any::<usize>(),
+        dup in any::<usize>(),
+        bandwidth in 0.01f64..1.5,
+        kappa in 0.0f64..2.0,
+    ) {
+        let mut fast = RbfSurrogate::new(bandwidth);
+        let mut naive = NaiveRbfSurrogate::new(bandwidth);
+        for (x, y) in &obs {
+            fast.observe(&x[..dim], *y);
+            naive.observe(&x[..dim], *y);
+        }
+        let mut flat: Vec<f64> = pool.iter().flat_map(|c| c[..dim].to_vec()).collect();
+        let n = pool.len();
+        // One candidate sits exactly on an observation (d2 = 0).
+        if let Some((x, _)) = obs.get(on_obs % obs.len().max(1)) {
+            let slot = on_obs % n;
+            flat[slot * dim..(slot + 1) * dim].copy_from_slice(&x[..dim]);
+        }
+        let mut scratch = AccScratch::default();
+        let check = |flat: &[f64], scratch: &mut AccScratch| -> usize {
+            let want = naive_argmax(&naive, dim, flat, kappa);
+            prop_assert_eq!(fast.argmax_acquisition(dim, flat, kappa, scratch), want);
+            want
+        };
+        let winner = check(&flat, &mut scratch);
+        // A single-candidate pool.
+        check(&flat[..dim], &mut scratch);
+        // Copy the winner to a lower index: the exact tie must go there.
+        if winner > 0 {
+            let slot = dup % winner;
+            flat.copy_within(winner * dim..(winner + 1) * dim, slot * dim);
+            prop_assert!(check(&flat, &mut scratch) <= slot);
+        }
+        // A pool that is one candidate repeated ties everywhere: index 0.
+        let same: Vec<f64> = flat[..dim].repeat(n);
+        prop_assert_eq!(check(&same, &mut scratch), 0);
+    }
+
     /// Arbitrary observation streams keep the optimized surrogate
     /// bit-identical to the naive reference at every step — including
     /// the empty prefix, after the first point, and through extreme
