@@ -63,6 +63,23 @@
 //! checksum: a single flipped bit or a truncated segment anywhere is
 //! refused with a typed [`WireError`].
 //!
+//! ## Checksums
+//!
+//! Every CRC32 is IEEE 802.3: reflected polynomial `0xEDB88320`, init
+//! and final xor `0xFFFFFFFF`. It is computed slice-by-16: sixteen
+//! `const`-built 256-entry tables fold 16 bytes per step, and the last
+//! few bytes go one at a time. That is the same function as the classic
+//! byte-at-a-time loop, so every checksum, and every byte of every file,
+//! is unchanged; a unit test holds the two equal at every length and
+//! alignment.
+//!
+//! No allocation is sized from an unchecked length prefix. A body
+//! reserves at most one event per 4 bytes left (the smallest record is a
+//! length byte, a tag byte and a 2-byte fold). A list count (container
+//! entries, tokenized words, candidate params) larger than the bytes left
+//! is refused with [`WireError::UnexpectedEnd`], since every entry takes
+//! at least one byte.
+//!
 //! ## Migration story
 //!
 //! [`LedgerEncoding::detect`] sniffs the 4-byte magic: anything else is
@@ -282,8 +299,11 @@ impl std::error::Error for WireError {}
 
 // ---- primitives -------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-16 tables: `t[0]` is the classic byte-at-a-time table;
+/// `t[k][b]` is the CRC state of byte `b` followed by `k` zero bytes, so
+/// the sixteen lookups of one 16-byte step are independent of each other.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -296,19 +316,56 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3, reflected). Detects every single-bit error.
+///
+/// Slice-by-16: each step folds 16 input bytes through 16 independent
+/// table lookups instead of a 16-long chain of dependent ones; the tail
+/// (< 16 bytes) takes the byte-at-a-time loop. Same polynomial, init and
+/// final xor as the byte-at-a-time reference kept in the tests, so every
+/// checksum is bit-identical to it.
 fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -431,6 +488,17 @@ impl<'a> Cursor<'a> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().unwrap()))
     }
+
+    /// Read the varint count of a list whose entries each take at least
+    /// one byte, refusing a count the remaining input cannot hold — so a
+    /// capacity sized from it is never larger than the input.
+    fn count(&mut self) -> Result<usize, WireError> {
+        let n = self.varint()?;
+        if n > self.remaining() as u64 {
+            return Err(WireError::UnexpectedEnd { at: self.buf.len() });
+        }
+        Ok(n as usize)
+    }
 }
 
 // ---- string interning -------------------------------------------------------
@@ -469,7 +537,9 @@ impl InternWriter {
     /// exactly word-join shaped stays a whole-string intern (flag 0),
     /// so the round trip is lossless either way.
     fn put_text(&mut self, out: &mut Vec<u8>, s: &str) {
-        if !self.ids.contains_key(s) && s.len() > 24 && s.contains(' ') {
+        // Cheap shape tests first: a short string (every fixed-policy
+        // rationale) skips straight to `put`, costing one hash lookup.
+        if s.len() > 24 && s.contains(' ') && !self.ids.contains_key(s) {
             let words: Vec<&str> = s.split(' ').collect();
             if words.iter().all(|w| !w.is_empty()) {
                 out.push(1);
@@ -515,8 +585,8 @@ impl InternReader {
         match cur.u8()? {
             0 => self.get(cur),
             1 => {
-                let count = cur.varint()? as usize;
-                let mut words = Vec::with_capacity(count.min(1024));
+                let count = cur.count()?;
+                let mut words = Vec::with_capacity(count);
                 for _ in 0..count {
                     words.push(self.get(cur)?);
                 }
@@ -837,8 +907,8 @@ fn decode_event(
         },
         2 => {
             let lane = cur.varint()? as usize;
-            let n = cur.varint()? as usize;
-            let mut params = Vec::with_capacity(n.min(1024));
+            let n = cur.count()?;
+            let mut params = Vec::with_capacity(n);
             for _ in 0..n {
                 params.push(cur.f64()?);
             }
@@ -1296,8 +1366,16 @@ impl<'a> BodyReader<'a> {
         Ok(Some(event))
     }
 
+    /// Events to reserve for [`collect`](Self::collect): the declared
+    /// total, capped by what the bytes left can hold — the smallest record
+    /// is 4 bytes (length, tag, 2-byte fold) — so a forged header cannot
+    /// size an allocation.
+    fn capacity_hint(&self) -> usize {
+        self.total_events.min(self.cur.remaining() as u64 / 4) as usize
+    }
+
     fn collect(mut self) -> Result<Vec<CampaignEvent>, WireError> {
-        let mut events = Vec::with_capacity(self.total_events.min(1 << 20) as usize);
+        let mut events = Vec::with_capacity(self.capacity_hint());
         while let Some(e) = self.next_event()? {
             events.push(e);
         }
@@ -1447,19 +1525,19 @@ fn decode_checkpoint(bytes: &[u8], kind: u8) -> Result<CheckpointParts, WireErro
     let mut scur = Cursor::new(section);
     let mut strings = InternReader::default();
     let master_seed = scur.varint()?;
-    let n = scur.varint()? as usize;
-    let mut seeds = Vec::with_capacity(n.min(1 << 16));
+    let n = scur.count()?;
+    let mut seeds = Vec::with_capacity(n);
     for _ in 0..n {
         seeds.push(scur.varint()?);
     }
-    let mut completed = Vec::with_capacity(n.min(1 << 16));
+    let mut completed = Vec::with_capacity(n);
     for _ in 0..n {
         completed.push(match scur.u8()? {
             0 => None,
             _ => Some(get_report(&mut scur, &mut strings)?),
         });
     }
-    let mut body_lens: Vec<Option<usize>> = Vec::with_capacity(n.min(1 << 16));
+    let mut body_lens: Vec<Option<usize>> = Vec::with_capacity(n);
     for _ in 0..n {
         body_lens.push(match scur.varint()? {
             0 => None,
@@ -1470,7 +1548,7 @@ fn decode_checkpoint(bytes: &[u8], kind: u8) -> Result<CheckpointParts, WireErro
     if scur.remaining() != 0 {
         return Err(WireError::TrailingBytes { at: scur.pos });
     }
-    let mut ledgers = Vec::with_capacity(n.min(1 << 16));
+    let mut ledgers = Vec::with_capacity(n);
     for len in body_lens {
         ledgers.push(match len {
             None => None,
@@ -1620,15 +1698,15 @@ fn fleet_body_slices(bytes: &[u8]) -> Result<(u64, Vec<&[u8]>), WireError> {
     }
     let mut scur = Cursor::new(section);
     let master_seed = scur.varint()?;
-    let n = scur.varint()? as usize;
-    let mut lens = Vec::with_capacity(n.min(1 << 16));
+    let n = scur.count()?;
+    let mut lens = Vec::with_capacity(n);
     for _ in 0..n {
         lens.push(scur.varint()? as usize);
     }
     if scur.remaining() != 0 {
         return Err(WireError::TrailingBytes { at: scur.pos });
     }
-    let mut slices = Vec::with_capacity(n.min(1 << 16));
+    let mut slices = Vec::with_capacity(n);
     for len in lens {
         slices.push(cur.take(len)?);
     }
@@ -1796,6 +1874,7 @@ pub fn resume_service_bytes(
 mod tests {
     use super::*;
     use evoflow_sim::{SimDuration, SimTime};
+    use proptest::prelude::*;
 
     fn sample_events() -> Vec<CampaignEvent> {
         vec![
@@ -1869,10 +1948,123 @@ mod tests {
         ]
     }
 
+    /// The byte-at-a-time CRC32 that slice-by-16 replaced: the reference
+    /// every production checksum must equal bit for bit.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_reference_vector() {
         // The classic IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_slice_by_16_matches_bytewise_at_every_length_and_offset() {
+        // A seeded xorshift buffer; every length 0..=300 at every start
+        // offset 0..16 covers every tail length and block alignment.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..316)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for offset in 0..16 {
+            for len in 0..=300 {
+                let span = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(span),
+                    crc32_bytewise(span),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_slice_by_16_matches_bytewise(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
+    }
+
+    #[test]
+    fn forged_event_count_is_refused_without_a_large_reservation() {
+        // A header whose CRC the sender computed, declaring 2^40 events
+        // in one segment, with no segment behind it.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.push(VERSION);
+        bytes.push(KIND_CAMPAIGN);
+        let header_start = bytes.len();
+        put_varint(&mut bytes, 1);
+        put_varint(&mut bytes, 1 << 40);
+        let header_crc = crc32(&bytes[header_start..]);
+        bytes.extend_from_slice(&header_crc.to_le_bytes());
+        let body = &bytes[6..];
+        assert_eq!(body.len(), 11);
+
+        let reader = BodyReader::new(body).expect("the forged header itself is well formed");
+        assert_eq!(reader.total_events, 1 << 40);
+        assert_eq!(reader.capacity_hint(), 0, "nothing left to hold an event");
+        assert!(matches!(
+            CampaignLedger::from_bytes(&bytes),
+            Err(WireError::UnexpectedEnd { .. })
+        ));
+
+        // A real body reserves exactly its declared count.
+        let real = CampaignLedger {
+            events: sample_events(),
+        }
+        .to_bytes(LedgerEncoding::Binary);
+        let reader = BodyReader::new(&real[6..]).expect("own bytes decode");
+        assert_eq!(reader.capacity_hint(), sample_events().len());
+    }
+
+    #[test]
+    fn forged_counts_are_refused_before_allocating() {
+        // The cursor refuses a count the bytes left cannot hold, before
+        // any caller sizes a `Vec` from it.
+        let mut list = Vec::new();
+        put_varint(&mut list, 3);
+        list.extend_from_slice(&[1, 2]);
+        assert_eq!(
+            Cursor::new(&list).count(),
+            Err(WireError::UnexpectedEnd { at: 3 })
+        );
+        list.push(3);
+        assert_eq!(Cursor::new(&list).count(), Ok(3));
+
+        // Container sections whose CRC is right but whose entry count is
+        // far beyond the section's bytes.
+        for kind in [KIND_FLEET, KIND_FLEET_CHECKPOINT, KIND_SERVICE_CHECKPOINT] {
+            let mut section = Vec::new();
+            put_varint(&mut section, 7); // master seed
+            put_varint(&mut section, u64::MAX); // entry count
+            let mut bytes = envelope(kind, 0);
+            put_varint(&mut bytes, section.len() as u64);
+            bytes.extend_from_slice(&section);
+            bytes.extend_from_slice(&crc32(&section).to_le_bytes());
+            let refused = match kind {
+                KIND_FLEET => FleetLedger::from_bytes(&bytes).err(),
+                KIND_FLEET_CHECKPOINT => FleetLedgerCheckpoint::from_bytes(&bytes).err(),
+                _ => ServiceCheckpoint::from_bytes(&bytes).err(),
+            };
+            assert_eq!(
+                refused,
+                Some(WireError::UnexpectedEnd { at: section.len() }),
+                "kind {kind}"
+            );
+        }
     }
 
     #[test]

@@ -10,10 +10,16 @@
 //! * **Tamper refusal** — on a *real* recorded campaign's binary ledger,
 //!   any single flipped bit and any truncation is refused by the decoder;
 //!   corruption never replays as silently different history.
+//! * **Arbitrary bytes** — every binary decoder entry point refuses
+//!   random bytes, and random bytes behind a valid `EVWL` envelope whose
+//!   header (or container section) CRC is correct, with a typed error and
+//!   no panic; random record bodies inside correctly framed, correctly
+//!   checksummed segments never panic the decoder or the replay fold.
 
 use evoflow_core::{
-    run_campaign_recorded, CampaignConfig, CampaignEvent, CampaignLedger, Cell, LedgerEncoding,
-    MaterialsSpace, RejectReason,
+    replay_fleet_ledger_bytes, replay_ledger_bytes, run_campaign_recorded, CampaignConfig,
+    CampaignEvent, CampaignLedger, Cell, FleetLedger, FleetLedgerCheckpoint, LedgerEncoding,
+    MaterialsSpace, RejectReason, ServiceCheckpoint,
 };
 use evoflow_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -329,5 +335,210 @@ proptest! {
             CampaignLedger::from_bytes(&bin[..cut]).is_err(),
             "truncation to {} bytes decoded cleanly", cut
         );
+    }
+}
+
+/// CRC-32 (IEEE, reflected), one bit at a time: written here from the
+/// definition, independent of the codec's tables.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn envelope(kind: u8) -> Vec<u8> {
+    let mut out = b"EVWL".to_vec();
+    out.extend_from_slice(&[1, kind]);
+    out
+}
+
+/// The binary decoder entry points that accepted `bytes` (each call must
+/// return, never panic).
+fn decoders_accepting(bytes: &[u8]) -> Vec<&'static str> {
+    let results = [
+        ("CampaignLedger", CampaignLedger::from_bytes(bytes).is_ok()),
+        ("FleetLedger", FleetLedger::from_bytes(bytes).is_ok()),
+        (
+            "FleetLedgerCheckpoint",
+            FleetLedgerCheckpoint::from_bytes(bytes).is_ok(),
+        ),
+        (
+            "ServiceCheckpoint",
+            ServiceCheckpoint::from_bytes(bytes).is_ok(),
+        ),
+        ("replay_ledger_bytes", replay_ledger_bytes(bytes).is_ok()),
+        (
+            "replay_fleet_ledger_bytes",
+            replay_fleet_ledger_bytes(bytes).is_ok(),
+        ),
+    ];
+    results
+        .into_iter()
+        .filter_map(|(name, ok)| ok.then_some(name))
+        .collect()
+}
+
+/// Random bytes, bare or behind the `EVWL` magic (so the binary path,
+/// not only the JSON fallback, sees them).
+fn arb_random_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        collection::vec(any::<u8>(), 0..512),
+        collection::vec(any::<u8>(), 0..512).prop_map(|tail| {
+            let mut out = b"EVWL".to_vec();
+            out.extend_from_slice(&tail);
+            out
+        }),
+    ]
+}
+
+/// Random bytes behind a valid envelope of any kind whose first checksum
+/// holds: a campaign header declaring at least one segment, or a container
+/// section, each sealed with its correct CRC. The tail is never empty, so
+/// an empty but valid artifact cannot be built by chance.
+fn arb_enveloped_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u8..4,
+        1u64..8,
+        any::<u64>(),
+        collection::vec(any::<u8>(), 0..64),
+        collection::vec(any::<u8>(), 1..512),
+    )
+        .prop_map(|(kind, segments, events, section, tail)| {
+            let mut out = envelope(kind);
+            let start = out.len();
+            if kind == 0 {
+                put_varint(&mut out, segments);
+                put_varint(&mut out, events);
+                let crc = crc32(&out[start..]);
+                out.extend_from_slice(&crc.to_le_bytes());
+            } else {
+                put_varint(&mut out, section.len() as u64);
+                out.extend_from_slice(&section);
+                out.extend_from_slice(&crc32(&section).to_le_bytes());
+            }
+            out.extend_from_slice(&tail);
+            out
+        })
+}
+
+/// A campaign ledger of one segment holding `records` (each a record
+/// body: tag byte, then fields), with every length, chained fold,
+/// snapshot and CRC computed as the codec does.
+fn frame_records(records: &[Vec<u8>]) -> Vec<u8> {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut fnv = FNV_OFFSET;
+    let mut payload = Vec::new();
+    for body in records {
+        put_varint(&mut payload, body.len() as u64);
+        payload.extend_from_slice(body);
+        for &b in body {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        let folded = fnv ^ (fnv >> 32);
+        let folded = folded ^ (folded >> 16);
+        payload.extend_from_slice(&(folded as u16).to_le_bytes());
+    }
+    let mut segment = Vec::new();
+    for v in [0, records.len() as u64, 0, 0, 0, payload.len() as u64] {
+        put_varint(&mut segment, v);
+    }
+    segment.extend_from_slice(&payload);
+    let crc = crc32(&segment);
+    segment.extend_from_slice(&crc.to_le_bytes());
+
+    let mut out = envelope(0);
+    let start = out.len();
+    put_varint(&mut out, 1);
+    put_varint(&mut out, records.len() as u64);
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&segment);
+    out
+}
+
+/// One correctly framed segment of random record bodies (a tag byte in
+/// or just past the known range, then random field bytes), so the event
+/// decoder and the replay fold see arbitrary field values. Half the
+/// field bytes are 0..4, so one-byte varints, flags and presence bytes
+/// hit their edge values often.
+fn arb_framed_records() -> impl Strategy<Value = Vec<u8>> {
+    let field_byte = prop_oneof![0u8..4, any::<u8>()];
+    collection::vec(
+        (0u8..24, collection::vec(field_byte, 0..40)).prop_map(|(tag, fields)| {
+            let mut body = vec![tag];
+            body.extend_from_slice(&fields);
+            body
+        }),
+        1..32,
+    )
+    .prop_map(|records| frame_records(&records))
+}
+
+#[test]
+fn test_framing_matches_the_codec() {
+    // The helpers above only mean something if they agree with the
+    // codec: a one-event ledger framed here must equal the codec's bytes.
+    let ledger = CampaignLedger {
+        events: vec![CampaignEvent::GateDecision {
+            lane: 3,
+            rejected_total: 9,
+        }],
+    };
+    let mut body = vec![5u8];
+    put_varint(&mut body, 3);
+    put_varint(&mut body, 9);
+    assert_eq!(
+        frame_records(&[body]),
+        ledger.to_bytes(LedgerEncoding::Binary)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes are refused by every decoder, never accepted and
+    /// never a panic.
+    #[test]
+    fn random_bytes_are_refused(bytes in arb_random_bytes()) {
+        let accepted = decoders_accepting(&bytes);
+        prop_assert!(accepted.is_empty(), "accepted by {:?}", accepted);
+    }
+
+    /// Random bytes behind a valid envelope and a correct first checksum
+    /// are refused by every decoder.
+    #[test]
+    fn random_bytes_behind_a_valid_envelope_are_refused(bytes in arb_enveloped_bytes()) {
+        let accepted = decoders_accepting(&bytes);
+        prop_assert!(accepted.is_empty(), "accepted by {:?}", accepted);
+    }
+
+    /// Arbitrary record bodies in a correctly framed segment never panic
+    /// the decoder or the streaming replay; whatever decodes re-encodes
+    /// to events that decode the same.
+    #[test]
+    fn random_framed_records_never_panic(bytes in arb_framed_records()) {
+        let _ = replay_ledger_bytes(&bytes);
+        if let Ok(ledger) = CampaignLedger::from_bytes(&bytes) {
+            let again = CampaignLedger::from_bytes(&ledger.to_bytes(LedgerEncoding::Binary));
+            prop_assert_eq!(again.expect("own bytes decode").events, ledger.events);
+        }
     }
 }
