@@ -2,18 +2,19 @@
 //!
 //! "Message buses will evolve to support semantic agent negotiation on top
 //! of protocols like AMQP 1.0 for federated event-driven workflows" (§5.2).
-//! This is a topic-based pub/sub bus with per-topic subscriber channels
-//! (crossbeam), byte payloads, and channel accounting — the quantity
-//! Table 2's composition-scaling claims are stated in.
+//! This is a topic-based pub/sub bus with one FIFO queue per subscriber,
+//! byte payloads, and channel accounting — the quantity Table 2's
+//! composition-scaling claims are stated in.
 //!
 //! The bus is `Sync`: agents on threads share it behind an `Arc`. Delivery
-//! within a topic preserves publish order per subscriber (crossbeam FIFO).
+//! within a topic preserves publish order per subscriber (each queue is
+//! FIFO). The bus holds each queue weakly, so a dropped [`Subscription`]
+//! is pruned on the next publish to its topic.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 
 /// A message on the bus.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,11 +43,17 @@ impl Message {
     }
 }
 
+/// One subscriber's FIFO queue.
+type Queue = Mutex<VecDeque<Message>>;
+
+/// A poisoned lock means a holder panicked mid-update; propagate it.
+const POISONED: &str = "bus lock poisoned by a panicking holder";
+
 /// A subscriber's end of a topic.
 #[derive(Debug)]
 pub struct Subscription {
     topic: String,
-    rx: Receiver<Message>,
+    queue: Arc<Queue>,
 }
 
 impl Subscription {
@@ -55,29 +62,30 @@ impl Subscription {
         &self.topic
     }
 
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Message>> {
+        self.queue.lock().expect(POISONED)
+    }
+
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        match self.rx.try_recv() {
-            Ok(m) => Some(m),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.queue().pop_front()
     }
 
     /// Drain everything currently queued.
     pub fn drain(&self) -> Vec<Message> {
-        std::iter::from_fn(|| self.try_recv()).collect()
+        self.queue().drain(..).collect()
     }
 
     /// Number of queued messages.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.queue().len()
     }
 }
 
 /// A topic-based publish/subscribe message bus.
 #[derive(Debug, Default)]
 pub struct MessageBus {
-    topics: RwLock<BTreeMap<String, Vec<Sender<Message>>>>,
+    topics: RwLock<BTreeMap<String, Vec<Weak<Queue>>>>,
     published: AtomicU64,
     delivered: AtomicU64,
 }
@@ -91,13 +99,14 @@ impl MessageBus {
     /// Open a subscription channel on `topic`.
     pub fn subscribe(&self, topic: impl Into<String>) -> Subscription {
         let topic = topic.into();
-        let (tx, rx) = unbounded();
+        let queue = Arc::new(Queue::default());
         self.topics
             .write()
+            .expect(POISONED)
             .entry(topic.clone())
             .or_default()
-            .push(tx);
-        Subscription { topic, rx }
+            .push(Arc::downgrade(&queue));
+        Subscription { topic, queue }
     }
 
     /// Publish a message; returns how many subscribers received it.
@@ -105,15 +114,15 @@ impl MessageBus {
     pub fn publish(&self, msg: Message) -> usize {
         self.published.fetch_add(1, Ordering::Relaxed);
         let mut delivered = 0usize;
-        let mut topics = self.topics.write();
+        let mut topics = self.topics.write().expect(POISONED);
         if let Some(subs) = topics.get_mut(&msg.topic) {
-            subs.retain(|tx| {
-                if tx.send(msg.clone()).is_ok() {
+            subs.retain(|queue| match queue.upgrade() {
+                Some(queue) => {
+                    queue.lock().expect(POISONED).push_back(msg.clone());
                     delivered += 1;
                     true
-                } else {
-                    false
                 }
+                None => false,
             });
         }
         self.delivered
@@ -124,12 +133,17 @@ impl MessageBus {
     /// Number of open subscriber channels across all topics — the "channel
     /// count" of Table 2.
     pub fn channel_count(&self) -> usize {
-        self.topics.read().values().map(Vec::len).sum()
+        self.topics
+            .read()
+            .expect(POISONED)
+            .values()
+            .map(Vec::len)
+            .sum()
     }
 
     /// Number of distinct topics ever subscribed.
     pub fn topic_count(&self) -> usize {
-        self.topics.read().len()
+        self.topics.read().expect(POISONED).len()
     }
 
     /// Total messages published.

@@ -14,17 +14,26 @@
 //!    `threads = 1` and `threads = 64`.
 //! 2. **Load balancing over heterogeneous cells.** A `[Static × Single]`
 //!    campaign finishes orders of magnitude sooner than
-//!    `[Intelligent × Swarm]`. Workers pull from a lock-free claim queue
-//!    (each task is an atomic flag): a worker drains its own stripe, then
-//!    steals any unclaimed task, so no thread idles while work remains.
+//!    `[Intelligent × Swarm]`. Workers claim chunks of task indices from
+//!    one shared atomic cursor: a single `fetch_add` hands out the next
+//!    chunk, and a worker that finishes its chunk claims the next, so no
+//!    thread idles while work remains.
 //! 3. **Deterministic aggregation.** Workers buffer results locally;
 //!    the coordinator folds them in task order using
 //!    [`evoflow_sim::SampleStats::merge`], so the per-cell distributions
 //!    are independent of completion order.
 //!
-//! Wall-clock timing deliberately lives *outside* [`FleetReport`] (see
-//! [`run_campaign_fleet_timed`]): a report that embedded its own elapsed
-//! time could never be byte-identical across thread counts.
+//! Every entry point — fresh run, crash test, resume, and the
+//! multi-tenant service's three — fills a list of per-campaign result
+//! slots through one private executor: a fresh run passes empty slots, a
+//! resume passes the checkpoint's, and a crash test passes a commit cap.
+//! Every resume checks its checkpoint through one handshake, which
+//! refuses a mismatch with a [`FleetResumeError`].
+//!
+//! Wall-clock timing deliberately lives *outside* [`FleetReport`]
+//! (callers time the call; [`run_campaign_fleet_profiled`] returns a
+//! [`FleetTiming`] beside its report): a report that embedded its own
+//! elapsed time could never be byte-identical across thread counts.
 //!
 //! ```
 //! use evoflow_core::{run_campaign_fleet, Cell, FleetConfig, MaterialsSpace};
@@ -292,8 +301,8 @@ impl FleetReport {
     }
 }
 
-/// Wall-clock measurements of a fleet run — kept out of [`FleetReport`]
-/// so reports stay byte-identical across thread counts.
+/// Wall-clock measurements of a profiled fleet run — kept out of
+/// [`FleetReport`] so reports stay byte-identical across thread counts.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetTiming {
     /// Worker threads actually used.
@@ -351,72 +360,62 @@ pub(crate) struct StealStats {
     pub(crate) nanos: u64,
 }
 
-/// Execute the fleet tasks `tasks` (pairs of shard index + config) across
-/// `threads` workers with the task runner `run`, committing at most
-/// `commit_cap` results.
+/// The one executor behind every fleet and service entry point: run
+/// `run(&configs[i])` for each index `i` in `order` whose slot is still
+/// empty, across `threads` workers, and store each result in `slots[i]`.
 ///
-/// The cap models a coordinator crash: workers stop claiming once the
-/// fleet-wide commit counter reaches the cap, and a campaign that
-/// finishes after the counter is exhausted is *discarded* — exactly the
-/// in-flight work a real crash loses. `None` commits everything.
+/// A fresh run passes empty slots, a resume passes the checkpoint's
+/// committed slots (so only the missing campaigns run), and a crash test
+/// passes a commit `cap`: workers stop claiming once that many results
+/// have committed, and a campaign that finishes after the cap is
+/// *discarded* — exactly the in-flight work a coordinator `kill -9`
+/// loses. `None` commits everything.
 ///
-/// Every returned pair carries the original shard index, so callers can
-/// splice results positionally regardless of which worker ran what. The
-/// runner is generic so the same claim/steal/commit machinery serves both
-/// plain execution ([`run_campaign`]) and ledger-recording execution
-/// ([`run_campaign_recorded`]) — and the multi-tenant service layer
-/// ([`crate::service`]) multiplexes its admitted campaigns through it too.
-pub(crate) fn execute_fleet_tasks_with<R, F>(
-    tasks: &[(usize, CampaignConfig)],
+/// One thread runs the pending indices serially in `order`, with no
+/// thread machinery and no claims. More threads pull chunks of the
+/// pending list from a [`TaskQueue`]. With `time_steals` each claim is
+/// wall-timed, the *steal* phase of a profiled fleet run; without it the
+/// claim path reads no clock.
+pub(crate) fn fill_slots<R, F>(
+    slots: &mut [Option<R>],
+    configs: &[CampaignConfig],
+    order: &[usize],
     threads: usize,
-    commit_cap: Option<usize>,
-    run: F,
-) -> Vec<(usize, R)>
-where
-    R: Send,
-    F: Fn(&CampaignConfig) -> R + Sync,
-{
-    execute_fleet_tasks_steal_timed(tasks, threads, commit_cap, run, false).0
-}
-
-/// [`execute_fleet_tasks_with`] plus claim-side counters. With
-/// `time_steals` false the claim path reads no clock (one local counter
-/// increment per chunk); with it true, each `claim` call is wall-timed —
-/// the *steal* phase of a profiled fleet run.
-pub(crate) fn execute_fleet_tasks_steal_timed<R, F>(
-    tasks: &[(usize, CampaignConfig)],
-    threads: usize,
-    commit_cap: Option<usize>,
-    run: F,
+    cap: Option<usize>,
     time_steals: bool,
-) -> (Vec<(usize, R)>, StealStats)
+    run: F,
+) -> StealStats
 where
     R: Send,
     F: Fn(&CampaignConfig) -> R + Sync,
 {
-    let cap = commit_cap.unwrap_or(usize::MAX);
-    if tasks.is_empty() || cap == 0 {
-        return (Vec::new(), StealStats::default());
+    let pending: Vec<usize> = order
+        .iter()
+        .copied()
+        .filter(|&i| slots[i].is_none())
+        .collect();
+    let cap = cap.unwrap_or(usize::MAX);
+    if pending.is_empty() || cap == 0 {
+        return StealStats::default();
     }
     if threads <= 1 {
-        // Serial fast path: no thread machinery, no claims.
-        let results = tasks.iter().take(cap).map(|(i, c)| (*i, run(c))).collect();
-        return (results, StealStats::default());
+        for &i in pending.iter().take(cap) {
+            slots[i] = Some(run(&configs[i]));
+        }
+        return StealStats::default();
     }
-    let queue = TaskQueue::new(tasks.len(), threads);
+    let queue = TaskQueue::new(pending.len(), threads);
     let commits = AtomicUsize::new(0);
-    let queue_ref = &queue;
-    let commits_ref = &commits;
-    let run_ref = &run;
+    let (queue, commits, pending, run) = (&queue, &commits, &pending, &run);
     let collected: Vec<(Vec<(usize, R)>, StealStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     let mut steals = StealStats::default();
-                    'claiming: while commits_ref.load(Ordering::Acquire) < cap {
+                    'claiming: while commits.load(Ordering::Acquire) < cap {
                         let started = time_steals.then(Instant::now);
-                        let claimed = queue_ref.claim();
+                        let claimed = queue.claim();
                         if let Some(t) = started {
                             steals.nanos += t.elapsed().as_nanos() as u64;
                         }
@@ -424,19 +423,19 @@ where
                             break;
                         };
                         steals.claims += 1;
-                        for i in range {
+                        for &i in &pending[range] {
                             // Commit-or-discard: the crash point is a
                             // total order on completions, so work
                             // finishing after it is lost, like a real
                             // kill -9 — and the rest of a chunk claimed
                             // past the cap is in-flight work the crash
                             // never ran.
-                            if commits_ref.load(Ordering::Acquire) >= cap {
+                            if commits.load(Ordering::Acquire) >= cap {
                                 break 'claiming;
                             }
-                            let result = run_ref(&tasks[i].1);
-                            if commits_ref.fetch_add(1, Ordering::AcqRel) < cap {
-                                local.push((tasks[i].0, result));
+                            let result = run(&configs[i]);
+                            if commits.fetch_add(1, Ordering::AcqRel) < cap {
+                                local.push((i, result));
                             }
                         }
                     }
@@ -449,56 +448,86 @@ where
             .map(|h| h.join().expect("fleet worker panicked"))
             .collect()
     });
-    let mut results = Vec::new();
     let mut steals = StealStats::default();
     for (local, s) in collected {
-        results.extend(local);
+        for (i, result) in local {
+            slots[i] = Some(result);
+        }
         steals.claims += s.claims;
         steals.nanos += s.nanos;
     }
-    (results, steals)
+    steals
 }
 
-/// The plain-report runner over [`execute_fleet_tasks_with`].
-fn execute_fleet_tasks(
-    space: &MaterialsSpace,
-    tasks: &[(usize, CampaignConfig)],
-    threads: usize,
-    commit_cap: Option<usize>,
-) -> Vec<(usize, CampaignReport)> {
-    execute_fleet_tasks_with(tasks, threads, commit_cap, |c| run_campaign(space, c))
+/// `n` empty result slots.
+pub(crate) fn empty_slots<R>(n: usize) -> Vec<Option<R>> {
+    (0..n).map(|_| None).collect()
 }
 
-/// Run a fleet of campaigns and report aggregate outcomes plus timing.
-pub fn run_campaign_fleet_timed(
-    space: &MaterialsSpace,
-    cfg: &FleetConfig,
-) -> (FleetReport, FleetTiming) {
-    let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let started = Instant::now();
-
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut reports: Vec<Option<CampaignReport>> = (0..tasks.len()).map(|_| None).collect();
-    for (i, r) in execute_fleet_tasks(space, &tasks, threads, None) {
-        reports[i] = Some(r);
-    }
-    let ordered: Vec<CampaignReport> = reports
+/// Unwrap slots that [`fill_slots`] filled without a cap.
+pub(crate) fn filled<R>(slots: Vec<Option<R>>) -> Vec<R> {
+    slots
         .into_iter()
-        .map(|r| r.expect("every task claimed exactly once"))
-        .collect();
-    let report = FleetReport::from_reports(cfg.master_seed, ordered);
-    let timing = FleetTiming {
-        threads,
-        wall_clock: started.elapsed(),
-    };
-    (report, timing)
+        .map(|s| s.expect("checkpointed or just run"))
+        .collect()
+}
+
+/// Pair a checkpoint's committed reports with their ledgers, slot by
+/// slot (the handshake has already checked that presence agrees).
+pub(crate) fn paired_slots(
+    completed: &[Option<CampaignReport>],
+    ledgers: &[Option<CampaignLedger>],
+) -> Vec<Option<(CampaignReport, CampaignLedger)>> {
+    completed
+        .iter()
+        .zip(ledgers)
+        .map(|(r, l)| r.clone().zip(l.clone()))
+        .collect()
+}
+
+/// Split report-and-ledger slots into a checkpoint's two slot lists.
+pub(crate) fn split_slots(
+    slots: Vec<Option<(CampaignReport, CampaignLedger)>>,
+) -> (Vec<Option<CampaignReport>>, Vec<Option<CampaignLedger>>) {
+    slots.into_iter().map(|s| s.unzip()).unzip()
+}
+
+/// [`fill_slots`] over a fleet's shards, in shard order.
+fn fill_fleet<R: Send>(
+    cfg: &FleetConfig,
+    shards: &[CampaignConfig],
+    slots: &mut [Option<R>],
+    cap: Option<usize>,
+    time_steals: bool,
+    run: impl Fn(&CampaignConfig) -> R + Sync,
+) -> StealStats {
+    let order: Vec<usize> = (0..shards.len()).collect();
+    let threads = cfg.effective_threads();
+    fill_slots(slots, shards, &order, threads, cap, time_steals, run)
 }
 
 /// Run a fleet of campaigns: M campaigns sharded across N worker threads,
 /// deterministic regardless of N. See the module docs for the design.
 pub fn run_campaign_fleet(space: &MaterialsSpace, cfg: &FleetConfig) -> FleetReport {
-    run_campaign_fleet_timed(space, cfg).0
+    complete_fleet(
+        space,
+        cfg,
+        &cfg.sharded_campaigns(),
+        empty_slots(cfg.campaigns.len()),
+    )
+}
+
+/// Run every empty slot of a plain fleet and aggregate.
+fn complete_fleet(
+    space: &MaterialsSpace,
+    cfg: &FleetConfig,
+    shards: &[CampaignConfig],
+    mut slots: Vec<Option<CampaignReport>>,
+) -> FleetReport {
+    fill_fleet(cfg, shards, &mut slots, None, false, |c| {
+        run_campaign(space, c)
+    });
+    FleetReport::from_reports(cfg.master_seed, filled(slots))
 }
 
 /// A durable record of a partially executed fleet: which campaigns
@@ -527,16 +556,10 @@ pub struct FleetCheckpoint {
 impl FleetCheckpoint {
     /// An empty checkpoint for `cfg` (nothing committed yet).
     pub fn empty(cfg: &FleetConfig) -> Self {
-        Self::from_shards(cfg.master_seed, &cfg.sharded_campaigns())
-    }
-
-    /// An empty checkpoint over already-derived shards (avoids a second
-    /// seed-derivation pass when the caller holds them).
-    fn from_shards(master_seed: u64, shards: &[CampaignConfig]) -> Self {
         FleetCheckpoint {
-            master_seed,
-            shard_seeds: shards.iter().map(|c| c.seed).collect(),
-            completed: (0..shards.len()).map(|_| None).collect(),
+            master_seed: cfg.master_seed,
+            shard_seeds: seeds_of(&cfg.sharded_campaigns()),
+            completed: empty_slots(cfg.campaigns.len()),
         }
     }
 
@@ -561,36 +584,38 @@ impl FleetCheckpoint {
     }
 }
 
-/// Why a fleet resume was refused.
+fn seeds_of(shards: &[CampaignConfig]) -> Vec<u64> {
+    shards.iter().map(|c| c.seed).collect()
+}
+
+/// Why a fleet or service resume was refused: the checkpoint failed the
+/// one resume handshake that every fleet and service resume runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetResumeError {
-    /// Checkpoint campaign count does not match the fleet config.
+    /// The checkpoint's slot count does not match the config's.
     ShapeMismatch {
-        /// Campaigns in the checkpoint.
+        /// The longest of the checkpoint's seed, report and ledger
+        /// lists. A checkpoint whose own lists disagree in length can
+        /// therefore report the config's count here.
         checkpoint: usize,
-        /// Campaigns in the fleet config.
+        /// Campaigns the config runs.
         fleet: usize,
     },
-    /// A derived shard seed differs from the checkpoint's — the
-    /// checkpoint belongs to a different fleet (or the config drifted),
+    /// A derived seed differs from the checkpoint's — the checkpoint
+    /// belongs to a different fleet or session (or the config drifted),
     /// so splicing its reports would fabricate results.
     SeedMismatch {
-        /// First shard whose seed disagrees.
+        /// First slot whose seed disagrees.
         index: usize,
     },
-    /// A [`FleetLedgerCheckpoint`] shard has a committed report without
-    /// its ledger (or a ledger without its report) — the checkpoint was
-    /// assembled inconsistently, so splicing it would desynchronise the
-    /// report from the audit trail.
+    /// A slot has a committed report without its ledger (or a ledger
+    /// without its report) — the checkpoint was assembled
+    /// inconsistently, so splicing it would desynchronise the report
+    /// from the audit trail.
     LedgerMismatch {
-        /// First shard whose report/ledger presence disagrees.
+        /// First slot whose report/ledger presence disagrees.
         index: usize,
     },
-    /// Serialized checkpoint bytes were refused at the wire level
-    /// (checksum, truncation, or structural corruption) before any
-    /// resume handshake could run. See
-    /// [`resume_campaign_fleet_recorded_bytes`](crate::ledger::wire::resume_campaign_fleet_recorded_bytes).
-    Corrupt(crate::ledger::WireError),
 }
 
 impl std::fmt::Display for FleetResumeError {
@@ -598,24 +623,58 @@ impl std::fmt::Display for FleetResumeError {
         match self {
             FleetResumeError::ShapeMismatch { checkpoint, fleet } => write!(
                 f,
-                "checkpoint has {checkpoint} campaigns, fleet config has {fleet}"
+                "checkpoint has {checkpoint} campaigns, config has {fleet}"
             ),
             FleetResumeError::SeedMismatch { index } => write!(
                 f,
-                "shard {index}'s derived seed differs from the checkpoint — \
-                 checkpoint does not belong to this fleet config"
+                "slot {index}'s derived seed differs from the checkpoint — \
+                 checkpoint does not belong to this config"
             ),
             FleetResumeError::LedgerMismatch { index } => write!(
                 f,
-                "shard {index} has a committed report and ledger that disagree \
-                 on presence — the ledger checkpoint is inconsistent"
+                "slot {index} has a committed report and ledger that disagree \
+                 on presence — the checkpoint is inconsistent"
             ),
-            FleetResumeError::Corrupt(e) => write!(f, "corrupt checkpoint bytes: {e}"),
         }
     }
 }
 
 impl std::error::Error for FleetResumeError {}
+
+/// The one resume handshake, shared by every fleet and service resume.
+///
+/// `seeds` are the seeds the config derives. The checkpoint's seed list,
+/// its committed reports, and (for recording resumes) its ledgers must
+/// all have that length, its seeds must match them, and each slot's
+/// report and ledger must agree on presence — or splicing the
+/// checkpoint would fabricate results.
+pub(crate) fn check_handshake(
+    seeds: &[u64],
+    checkpoint_seeds: &[u64],
+    completed: &[Option<CampaignReport>],
+    ledgers: Option<&[Option<CampaignLedger>]>,
+) -> Result<(), FleetResumeError> {
+    let n = seeds.len();
+    let ledger_len = ledgers.map_or(n, <[_]>::len);
+    if checkpoint_seeds.len() != n || completed.len() != n || ledger_len != n {
+        return Err(FleetResumeError::ShapeMismatch {
+            checkpoint: checkpoint_seeds.len().max(completed.len()).max(ledger_len),
+            fleet: n,
+        });
+    }
+    if let Some(index) = seeds.iter().zip(checkpoint_seeds).position(|(a, b)| a != b) {
+        return Err(FleetResumeError::SeedMismatch { index });
+    }
+    if let Some(index) = ledgers.and_then(|ledgers| {
+        ledgers
+            .iter()
+            .zip(completed)
+            .position(|(l, r)| l.is_some() != r.is_some())
+    }) {
+        return Err(FleetResumeError::LedgerMismatch { index });
+    }
+    Ok(())
+}
 
 /// Derive the seeded crash point for a fleet of `campaigns` campaigns:
 /// the number of commits after which the coordinator dies. Pure function
@@ -649,13 +708,20 @@ pub fn run_campaign_fleet_until(
     max_completions: usize,
 ) -> FleetCheckpoint {
     let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let mut ckpt = FleetCheckpoint::from_shards(cfg.master_seed, &shards);
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    for (i, r) in execute_fleet_tasks(space, &tasks, threads, Some(max_completions)) {
-        ckpt.record(i, r);
+    let mut completed = empty_slots(shards.len());
+    fill_fleet(
+        cfg,
+        &shards,
+        &mut completed,
+        Some(max_completions),
+        false,
+        |c| run_campaign(space, c),
+    );
+    FleetCheckpoint {
+        master_seed: cfg.master_seed,
+        shard_seeds: seeds_of(&shards),
+        completed,
     }
-    ckpt
 }
 
 /// Resume an interrupted fleet from a [`FleetCheckpoint`]: re-run only
@@ -672,43 +738,18 @@ pub fn resume_campaign_fleet(
     checkpoint: &FleetCheckpoint,
 ) -> Result<FleetReport, FleetResumeError> {
     let shards = cfg.sharded_campaigns();
-    validate_fleet_checkpoint(&shards, checkpoint)?;
-    let threads = cfg.effective_threads();
-    let missing: Vec<(usize, CampaignConfig)> = shards
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| checkpoint.completed[*i].is_none())
-        .collect();
-    let mut reports: Vec<Option<CampaignReport>> = checkpoint.completed.clone();
-    for (i, r) in execute_fleet_tasks(space, &missing, threads, None) {
-        reports[i] = Some(r);
-    }
-    let ordered: Vec<CampaignReport> = reports
-        .into_iter()
-        .map(|r| r.expect("checkpointed or just re-run"))
-        .collect();
-    Ok(FleetReport::from_reports(cfg.master_seed, ordered))
-}
-
-/// The resume handshake shared by plain and recorded resumes: the
-/// checkpoint must match the fleet's shape and derive the same shard
-/// seeds, or splicing its reports would fabricate results.
-fn validate_fleet_checkpoint(
-    shards: &[CampaignConfig],
-    checkpoint: &FleetCheckpoint,
-) -> Result<(), FleetResumeError> {
-    if checkpoint.completed.len() != shards.len() || checkpoint.shard_seeds.len() != shards.len() {
-        return Err(FleetResumeError::ShapeMismatch {
-            checkpoint: checkpoint.completed.len().max(checkpoint.shard_seeds.len()),
-            fleet: shards.len(),
-        });
-    }
-    for (i, shard) in shards.iter().enumerate() {
-        if shard.seed != checkpoint.shard_seeds[i] {
-            return Err(FleetResumeError::SeedMismatch { index: i });
-        }
-    }
-    Ok(())
+    check_handshake(
+        &seeds_of(&shards),
+        &checkpoint.shard_seeds,
+        &checkpoint.completed,
+        None,
+    )?;
+    Ok(complete_fleet(
+        space,
+        cfg,
+        &shards,
+        checkpoint.completed.clone(),
+    ))
 }
 
 // ---- ledger-recording execution ---------------------------------------------
@@ -724,23 +765,26 @@ pub fn run_campaign_fleet_recorded(
     space: &MaterialsSpace,
     cfg: &FleetConfig,
 ) -> (FleetReport, FleetLedger) {
-    let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut slots: Vec<Option<(CampaignReport, CampaignLedger)>> =
-        (0..tasks.len()).map(|_| None).collect();
-    for (i, pair) in
-        execute_fleet_tasks_with(&tasks, threads, None, |c| run_campaign_recorded(space, c))
-    {
-        slots[i] = Some(pair);
-    }
-    let mut reports = Vec::with_capacity(slots.len());
-    let mut campaigns = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let (report, ledger) = slot.expect("every task claimed exactly once");
-        reports.push(report);
-        campaigns.push(ledger);
-    }
+    complete_recorded(
+        space,
+        cfg,
+        &cfg.sharded_campaigns(),
+        empty_slots(cfg.campaigns.len()),
+    )
+}
+
+/// Record every empty slot of a recording fleet, then aggregate the
+/// reports and merge the ledgers in shard order.
+fn complete_recorded(
+    space: &MaterialsSpace,
+    cfg: &FleetConfig,
+    shards: &[CampaignConfig],
+    mut slots: Vec<Option<(CampaignReport, CampaignLedger)>>,
+) -> (FleetReport, FleetLedger) {
+    fill_fleet(cfg, shards, &mut slots, None, false, |c| {
+        run_campaign_recorded(space, c)
+    });
+    let (reports, campaigns) = filled(slots).into_iter().unzip();
     (
         FleetReport::from_reports(cfg.master_seed, reports),
         FleetLedger {
@@ -754,8 +798,9 @@ pub fn run_campaign_fleet_recorded(
 /// runs under [`run_campaign_profiled`], the executor's chunk-claim path
 /// is wall-timed as the *steal* phase, and the per-campaign breakdowns
 /// are merged **in shard order** — so every count in the returned
-/// [`PhaseBreakdown`] is byte-identical across reruns and thread counts
-/// (only `nanos` is wall-clock). The report and ledger are identical to
+/// [`PhaseBreakdown`] is byte-identical across reruns, and every count
+/// but the steal phase's claims (a pure function of task and thread
+/// count) across thread counts too (only `nanos` is wall-clock). The report and ledger are identical to
 /// [`run_campaign_fleet_recorded`]'s: profiling observes, never perturbs.
 pub fn run_campaign_fleet_profiled(
     space: &MaterialsSpace,
@@ -764,29 +809,17 @@ pub fn run_campaign_fleet_profiled(
     let shards = cfg.sharded_campaigns();
     let threads = cfg.effective_threads();
     let started = Instant::now();
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    let mut slots: Vec<Option<(CampaignReport, CampaignLedger, PhaseBreakdown)>> =
-        (0..tasks.len()).map(|_| None).collect();
-    let (results, steals) = execute_fleet_tasks_steal_timed(
-        &tasks,
-        threads,
-        None,
-        |c| {
-            let mut ledger = CampaignLedger::new();
-            let mut prof = PhaseProfiler::enabled();
-            let report = run_campaign_profiled(space, c, &mut [&mut ledger], &mut prof);
-            (report, ledger, prof.breakdown())
-        },
-        true,
-    );
-    for (i, triple) in results {
-        slots[i] = Some(triple);
-    }
+    let mut slots = empty_slots(shards.len());
+    let steals = fill_fleet(cfg, &shards, &mut slots, None, true, |c| {
+        let mut ledger = CampaignLedger::new();
+        let mut prof = PhaseProfiler::enabled();
+        let report = run_campaign_profiled(space, c, &mut [&mut ledger], &mut prof);
+        (report, ledger, prof.breakdown())
+    });
     let mut reports = Vec::with_capacity(slots.len());
     let mut campaigns = Vec::with_capacity(slots.len());
     let mut merged = PhaseProfiler::enabled();
-    for slot in slots {
-        let (report, ledger, breakdown) = slot.expect("every task claimed exactly once");
+    for (report, ledger, breakdown) in filled(slots) {
         reports.push(report);
         campaigns.push(ledger);
         merged.merge(&breakdown);
@@ -827,28 +860,16 @@ pub struct FleetLedgerCheckpoint {
     pub events: Vec<CampaignEvent>,
 }
 
-/// The recorded-resume handshake: the plain [`FleetCheckpoint`] checks,
-/// plus every shard's report and ledger must agree on presence.
-fn validate_ledger_checkpoint(
-    shards: &[CampaignConfig],
-    checkpoint: &FleetLedgerCheckpoint,
-) -> Result<(), FleetResumeError> {
-    validate_fleet_checkpoint(shards, &checkpoint.fleet)?;
-    if checkpoint.ledgers.len() != shards.len() {
-        return Err(FleetResumeError::ShapeMismatch {
-            checkpoint: checkpoint.ledgers.len(),
-            fleet: shards.len(),
-        });
-    }
-    if let Some(index) = checkpoint
-        .ledgers
-        .iter()
-        .zip(&checkpoint.fleet.completed)
-        .position(|(l, r)| l.is_some() != r.is_some())
-    {
-        return Err(FleetResumeError::LedgerMismatch { index });
-    }
-    Ok(())
+/// The audit trail of a kill: the coordinator died after the commits it
+/// truly absorbed (a cap larger than the fleet never fires mid-run), and
+/// the checkpoint holds them.
+pub(crate) fn kill_events(committed: usize, total: usize) -> Vec<CampaignEvent> {
+    vec![
+        CampaignEvent::CoordinatorKilled {
+            after_commits: committed,
+        },
+        CampaignEvent::CheckpointTaken { committed, total },
+    ]
 }
 
 /// Run a recording fleet until `max_completions` campaigns have
@@ -861,34 +882,25 @@ pub fn run_campaign_fleet_recorded_until(
     max_completions: usize,
 ) -> FleetLedgerCheckpoint {
     let shards = cfg.sharded_campaigns();
-    let threads = cfg.effective_threads();
-    let mut fleet = FleetCheckpoint::from_shards(cfg.master_seed, &shards);
-    let mut ledgers: Vec<Option<CampaignLedger>> = (0..shards.len()).map(|_| None).collect();
-    let tasks: Vec<(usize, CampaignConfig)> = shards.into_iter().enumerate().collect();
-    for (i, (report, ledger)) in
-        execute_fleet_tasks_with(&tasks, threads, Some(max_completions), |c| {
-            run_campaign_recorded(space, c)
-        })
-    {
-        fleet.record(i, report);
-        ledgers[i] = Some(ledger);
-    }
-    // The audit trail records what actually happened: the coordinator
-    // died after the commits it truly absorbed (a cap larger than the
-    // fleet never fires mid-run).
-    let events = vec![
-        CampaignEvent::CoordinatorKilled {
-            after_commits: fleet.completed_count(),
-        },
-        CampaignEvent::CheckpointTaken {
-            committed: fleet.completed_count(),
-            total: fleet.completed.len(),
-        },
-    ];
+    let mut slots = empty_slots(shards.len());
+    fill_fleet(
+        cfg,
+        &shards,
+        &mut slots,
+        Some(max_completions),
+        false,
+        |c| run_campaign_recorded(space, c),
+    );
+    let (completed, ledgers) = split_slots(slots);
+    let fleet = FleetCheckpoint {
+        master_seed: cfg.master_seed,
+        shard_seeds: seeds_of(&shards),
+        completed,
+    };
     FleetLedgerCheckpoint {
+        events: kill_events(fleet.completed_count(), fleet.completed.len()),
         fleet,
         ledgers,
-        events,
     }
 }
 
@@ -907,36 +919,15 @@ pub fn resume_campaign_fleet_recorded(
     checkpoint: &FleetLedgerCheckpoint,
 ) -> Result<(FleetReport, FleetLedger), FleetResumeError> {
     let shards = cfg.sharded_campaigns();
-    validate_ledger_checkpoint(&shards, checkpoint)?;
-    let threads = cfg.effective_threads();
-    let missing: Vec<(usize, CampaignConfig)> = shards
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| checkpoint.fleet.completed[*i].is_none())
-        .collect();
-    let mut reports: Vec<Option<CampaignReport>> = checkpoint.fleet.completed.clone();
-    let mut ledgers: Vec<Option<CampaignLedger>> = checkpoint.ledgers.clone();
-    for (i, (report, ledger)) in
-        execute_fleet_tasks_with(&missing, threads, None, |c| run_campaign_recorded(space, c))
-    {
-        reports[i] = Some(report);
-        ledgers[i] = Some(ledger);
-    }
-    let ordered: Vec<CampaignReport> = reports
-        .into_iter()
-        .map(|r| r.expect("checkpointed or just re-run"))
-        .collect();
-    let campaigns: Vec<CampaignLedger> = ledgers
-        .into_iter()
-        .map(|l| l.expect("checkpointed or just re-run"))
-        .collect();
-    Ok((
-        FleetReport::from_reports(cfg.master_seed, ordered),
-        FleetLedger {
-            master_seed: cfg.master_seed,
-            campaigns,
-        },
-    ))
+    let fleet = &checkpoint.fleet;
+    check_handshake(
+        &seeds_of(&shards),
+        &fleet.shard_seeds,
+        &fleet.completed,
+        Some(&checkpoint.ledgers),
+    )?;
+    let slots = paired_slots(&fleet.completed, &checkpoint.ledgers);
+    Ok(complete_recorded(space, cfg, &shards, slots))
 }
 
 #[cfg(test)]
@@ -1006,7 +997,7 @@ mod tests {
     #[test]
     fn timing_reports_requested_threads() {
         let space = space();
-        let (_, timing) = run_campaign_fleet_timed(&space, &small_fleet(3));
+        let (_, _, _, timing) = run_campaign_fleet_profiled(&space, &small_fleet(3));
         assert_eq!(timing.threads, 3);
         assert!(timing.wall_clock.as_nanos() > 0);
     }
@@ -1087,11 +1078,99 @@ mod tests {
         let cfg = small_fleet(1);
         let mut ckpt = run_campaign_fleet_recorded_until(&space, &cfg, 2);
         assert!(ckpt.fleet.completed[0].is_some());
+        let mut short = ckpt.clone();
+        short.ledgers.pop(); // only the ledger list is short
+        assert_eq!(
+            resume_campaign_fleet_recorded(&space, &cfg, &short).unwrap_err(),
+            FleetResumeError::ShapeMismatch {
+                checkpoint: 4,
+                fleet: 4
+            }
+        );
         ckpt.ledgers[0] = None; // committed report, ledger lost
         assert_eq!(
             resume_campaign_fleet_recorded(&space, &cfg, &ckpt).unwrap_err(),
             FleetResumeError::LedgerMismatch { index: 0 }
         );
+    }
+
+    /// Configs whose seed is their slot index, so a runner can tell
+    /// which slot it ran.
+    fn indexed_configs(n: usize) -> Vec<CampaignConfig> {
+        (0..n as u64)
+            .map(|i| CampaignConfig::for_cell(Cell::traditional_wms(), i))
+            .collect()
+    }
+
+    #[test]
+    fn fill_slots_runs_each_empty_slot_once_in_order() {
+        let configs = indexed_configs(6);
+        let mut slots = vec![None, Some(100), None, Some(300), None, None];
+        let ran = std::sync::Mutex::new(Vec::new());
+        fill_slots(
+            &mut slots,
+            &configs,
+            &[5, 0, 3, 1, 4, 2],
+            1,
+            None,
+            false,
+            |c| {
+                ran.lock().unwrap().push(c.seed);
+                c.seed
+            },
+        );
+        // Pre-filled slots 1 and 3 never re-run; the rest run once each,
+        // in `order`.
+        assert_eq!(ran.into_inner().unwrap(), vec![5, 0, 4, 2]);
+        assert_eq!(
+            slots,
+            vec![Some(0), Some(100), Some(2), Some(300), Some(4), Some(5)]
+        );
+    }
+
+    #[test]
+    fn fill_slots_commits_exactly_the_cap_across_threads() {
+        let configs = indexed_configs(8);
+        let order: Vec<usize> = (0..8).collect();
+        for cap in 0..=9 {
+            let mut slots = empty_slots::<u64>(8);
+            slots[2] = Some(2);
+            slots[6] = Some(6);
+            fill_slots(&mut slots, &configs, &order, 2, Some(cap), false, |c| {
+                c.seed
+            });
+            let committed = slots.iter().filter(|s| s.is_some()).count() - 2;
+            assert_eq!(committed, cap.min(6), "cap={cap}");
+            for (i, s) in slots.iter().enumerate() {
+                assert!(
+                    s.is_none_or(|seed| seed == i as u64),
+                    "slot {i} holds {s:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fill_slots_with_cap_zero_runs_nothing() {
+        let configs = indexed_configs(4);
+        let runs = AtomicUsize::new(0);
+        for threads in [1, 2] {
+            let mut slots = empty_slots::<u64>(4);
+            fill_slots(
+                &mut slots,
+                &configs,
+                &[0, 1, 2, 3],
+                threads,
+                Some(0),
+                false,
+                |c| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    c.seed
+                },
+            );
+            assert!(slots.iter().all(Option::is_none));
+        }
+        assert_eq!(runs.load(Ordering::Relaxed), 0);
     }
 
     #[test]

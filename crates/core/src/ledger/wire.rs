@@ -90,15 +90,8 @@
 
 use super::{CampaignEvent, CampaignLedger, FleetLedger, ReplayError, ReplayFold, ReplayOutcome};
 use crate::campaign::CampaignReport;
-use crate::fleet::{
-    resume_campaign_fleet_recorded, FleetCheckpoint, FleetConfig, FleetLedgerCheckpoint,
-    FleetReport, FleetResumeError,
-};
-use crate::service::{
-    resume_service, RejectReason, ServiceCheckpoint, ServiceConfig, ServiceReport,
-    ServiceResumeError,
-};
-use crate::MaterialsSpace;
+use crate::fleet::{FleetCheckpoint, FleetLedgerCheckpoint, FleetReport};
+use crate::service::{RejectReason, ServiceCheckpoint};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -1455,9 +1448,9 @@ fn get_report(
     })
 }
 
-/// Shared shape of both checkpoint kinds: per-slot seeds, optional
-/// committed reports, optional committed ledgers, plus a trailing
-/// fleet-scoped event stream.
+/// Shared shape of both decoded checkpoint kinds: per-slot seeds,
+/// optional committed reports, optional committed ledgers, plus a
+/// trailing fleet-scoped event stream.
 struct CheckpointParts {
     master_seed: u64,
     seeds: Vec<u64>,
@@ -1469,23 +1462,30 @@ struct CheckpointParts {
 /// Encode a container: one CRC32-sealed scalar *section* holding every
 /// seed, report, presence flag, and embedded-body length — then the
 /// self-validating campaign bodies back to back. Every byte of the file
-/// sits under exactly one checksum.
-fn encode_checkpoint(kind: u8, parts: &CheckpointParts) -> Vec<u8> {
-    let bodies: Vec<Option<Vec<u8>>> = parts
-        .ledgers
+/// sits under exactly one checksum. Encodes straight from the
+/// checkpoint's borrowed fields, so nothing is cloned.
+fn encode_checkpoint(
+    kind: u8,
+    master_seed: u64,
+    seeds: &[u64],
+    completed: &[Option<CampaignReport>],
+    ledgers: &[Option<CampaignLedger>],
+    events: &[CampaignEvent],
+) -> Vec<u8> {
+    let bodies: Vec<Option<Vec<u8>>> = ledgers
         .iter()
         .map(|l| l.as_ref().map(|l| encode_body(&l.events)))
         .collect();
-    let events_body = encode_body(&parts.events);
+    let events_body = encode_body(events);
 
     let mut section = Vec::new();
     let mut strings = InternWriter::default();
-    put_varint(&mut section, parts.master_seed);
-    put_varint(&mut section, parts.seeds.len() as u64);
-    for &s in &parts.seeds {
+    put_varint(&mut section, master_seed);
+    put_varint(&mut section, seeds.len() as u64);
+    for &s in seeds {
         put_varint(&mut section, s);
     }
-    for r in &parts.completed {
+    for r in completed {
         match r {
             None => section.push(0),
             Some(r) => {
@@ -1723,13 +1723,11 @@ impl FleetLedgerCheckpoint {
             LedgerEncoding::Json => json_bytes(self),
             LedgerEncoding::Binary => encode_checkpoint(
                 KIND_FLEET_CHECKPOINT,
-                &CheckpointParts {
-                    master_seed: self.fleet.master_seed,
-                    seeds: self.fleet.shard_seeds.clone(),
-                    completed: self.fleet.completed.clone(),
-                    ledgers: self.ledgers.clone(),
-                    events: self.events.clone(),
-                },
+                self.fleet.master_seed,
+                &self.fleet.shard_seeds,
+                &self.fleet.completed,
+                &self.ledgers,
+                &self.events,
             ),
         }
     }
@@ -1761,13 +1759,11 @@ impl ServiceCheckpoint {
             LedgerEncoding::Json => json_bytes(self),
             LedgerEncoding::Binary => encode_checkpoint(
                 KIND_SERVICE_CHECKPOINT,
-                &CheckpointParts {
-                    master_seed: self.master_seed,
-                    seeds: self.seeds.clone(),
-                    completed: self.completed.clone(),
-                    ledgers: self.ledgers.clone(),
-                    events: self.events.clone(),
-                },
+                self.master_seed,
+                &self.seeds,
+                &self.completed,
+                &self.ledgers,
+                &self.events,
             ),
         }
     }
@@ -1842,32 +1838,6 @@ pub fn replay_fleet_ledger_bytes(bytes: &[u8]) -> Result<FleetReport, ReplayErro
             Ok(FleetReport::from_reports(master_seed, reports))
         }
     }
-}
-
-// ---- serialized-checkpoint resume -------------------------------------------
-
-/// Resume a recorded fleet from serialized checkpoint bytes (either
-/// encoding). Wire-level refusal surfaces as
-/// [`FleetResumeError::Corrupt`]; all resume handshakes are unchanged.
-pub fn resume_campaign_fleet_recorded_bytes(
-    space: &MaterialsSpace,
-    cfg: &FleetConfig,
-    bytes: &[u8],
-) -> Result<(FleetReport, FleetLedger), FleetResumeError> {
-    let checkpoint = FleetLedgerCheckpoint::from_bytes(bytes).map_err(FleetResumeError::Corrupt)?;
-    resume_campaign_fleet_recorded(space, cfg, &checkpoint)
-}
-
-/// Resume an interrupted service session from serialized checkpoint
-/// bytes (either encoding). Wire-level refusal surfaces as
-/// [`ServiceResumeError::Corrupt`]; all resume handshakes are unchanged.
-pub fn resume_service_bytes(
-    space: &MaterialsSpace,
-    cfg: &ServiceConfig,
-    bytes: &[u8],
-) -> Result<(ServiceReport, FleetLedger), ServiceResumeError> {
-    let checkpoint = ServiceCheckpoint::from_bytes(bytes).map_err(ServiceResumeError::Corrupt)?;
-    resume_service(space, cfg, &checkpoint)
 }
 
 #[cfg(test)]

@@ -93,15 +93,12 @@ pub use federation::{Federation, FederationError, Handshake};
 pub use fleet::{
     fleet_death_point, resume_campaign_fleet, resume_campaign_fleet_recorded, run_campaign_fleet,
     run_campaign_fleet_profiled, run_campaign_fleet_recorded, run_campaign_fleet_recorded_until,
-    run_campaign_fleet_timed, run_campaign_fleet_until, CellSummary, DistSummary, FleetCheckpoint,
-    FleetConfig, FleetLedgerCheckpoint, FleetReport, FleetResumeError, FleetTiming,
+    run_campaign_fleet_until, CellSummary, DistSummary, FleetCheckpoint, FleetConfig,
+    FleetLedgerCheckpoint, FleetReport, FleetResumeError, FleetTiming,
 };
 pub use governance::{Action, AuditRecord, GovernanceEngine, Policy, Verdict};
 pub use ide::{panel, render_campaign, render_interventions, render_plane, render_trajectory};
-pub use ledger::wire::{
-    replay_fleet_ledger_bytes, replay_ledger_bytes, resume_campaign_fleet_recorded_bytes,
-    resume_service_bytes, WireEncodeStats,
-};
+pub use ledger::wire::{replay_fleet_ledger_bytes, replay_ledger_bytes, WireEncodeStats};
 pub use ledger::{
     replay_fleet_ledger, replay_ledger, CampaignEvent, CampaignLedger, EventBatch, FleetLedger,
     KnowledgeSink, LedgerEncoding, LedgerObserver, MetricsSink, ReplayError, ReplayOutcome,

@@ -71,7 +71,10 @@
 
 use crate::campaign::{run_campaign_recorded, CampaignConfig, CampaignReport};
 use crate::domain::MaterialsSpace;
-use crate::fleet::{execute_fleet_tasks_with, FleetReport};
+use crate::fleet::{
+    check_handshake, empty_slots, fill_slots, filled, kill_events, paired_slots, split_slots,
+    FleetReport, FleetResumeError,
+};
 use crate::ledger::{CampaignEvent, CampaignLedger, FleetLedger, LedgerObserver};
 use evoflow_sim::RngRegistry;
 use serde::{Deserialize, Serialize};
@@ -800,37 +803,50 @@ pub fn run_service_observed(
     observers: &mut [&mut dyn LedgerObserver],
 ) -> Result<(ServiceReport, FleetLedger), ServiceError> {
     let plan = plan_service(cfg)?;
-    let configs = admitted_configs(cfg, &plan);
-    let tasks: Vec<(usize, CampaignConfig)> = plan
-        .dispatch_order
-        .iter()
-        .map(|&ai| (ai, configs[ai].clone()))
-        .collect();
-    let mut slots: Vec<Option<(CampaignReport, CampaignLedger)>> =
-        (0..plan.admitted.len()).map(|_| None).collect();
-    for (ai, pair) in execute_fleet_tasks_with(&tasks, cfg.effective_threads(), None, |c| {
-        run_campaign_recorded(space, c)
-    }) {
-        slots[ai] = Some(pair);
-    }
-    let mut reports = Vec::with_capacity(slots.len());
-    let mut ledgers = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let (report, ledger) = slot.expect("every dispatched task claimed exactly once");
-        reports.push(report);
-        ledgers.push(ledger);
-    }
+    let slots = empty_slots(plan.admitted.len());
+    Ok(complete_session(space, cfg, &plan, slots, observers))
+}
 
+/// Run every admitted campaign whose slot is still empty, in dispatch
+/// order (at most `cap` commits).
+fn fill_session(
+    space: &MaterialsSpace,
+    cfg: &ServiceConfig,
+    plan: &ServicePlan,
+    slots: &mut [Option<(CampaignReport, CampaignLedger)>],
+    cap: Option<usize>,
+) {
+    fill_slots(
+        slots,
+        &admitted_configs(cfg, plan),
+        &plan.dispatch_order,
+        cfg.effective_threads(),
+        cap,
+        false,
+        |c| run_campaign_recorded(space, c),
+    );
+}
+
+/// Run every empty slot of a session, stream it to `observers`, and
+/// assemble the report and the merged ledger in admission order.
+fn complete_session(
+    space: &MaterialsSpace,
+    cfg: &ServiceConfig,
+    plan: &ServicePlan,
+    mut slots: Vec<Option<(CampaignReport, CampaignLedger)>>,
+    observers: &mut [&mut dyn LedgerObserver],
+) -> (ServiceReport, FleetLedger) {
+    fill_session(space, cfg, plan, &mut slots, None);
+    let (reports, campaigns): (Vec<_>, Vec<_>) = filled(slots).into_iter().unzip();
     if !observers.is_empty() {
-        stream_session(&plan, &ledgers, observers);
+        stream_session(plan, &campaigns, observers);
     }
-
-    let report = assemble_report(cfg, &plan, reports);
+    let report = assemble_report(cfg, plan, reports);
     let ledger = FleetLedger {
         master_seed: cfg.master_seed,
-        campaigns: ledgers,
+        campaigns,
     };
-    Ok((report, ledger))
+    (report, ledger)
 }
 
 /// Feed the session's event stream — service-level scheduling events
@@ -952,55 +968,18 @@ impl ServiceCheckpoint {
 pub enum ServiceResumeError {
     /// The config itself no longer plans (see [`ServiceError`]).
     Plan(ServiceError),
-    /// Checkpoint admission count does not match the re-derived plan.
-    ShapeMismatch {
-        /// Admissions in the checkpoint.
-        checkpoint: usize,
-        /// Admissions the config plans.
-        service: usize,
-    },
-    /// A derived seed differs from the checkpoint's — the checkpoint
-    /// belongs to a different session (or the config drifted), so
-    /// splicing its reports would fabricate results.
-    SeedMismatch {
-        /// First admission whose seed disagrees.
-        index: usize,
-    },
-    /// A checkpoint slot has a committed report without its ledger (or
-    /// vice versa) — the checkpoint was assembled inconsistently.
-    LedgerMismatch {
-        /// First admission whose report/ledger presence disagrees.
-        index: usize,
-    },
-    /// Serialized checkpoint bytes were refused at the wire level
-    /// (checksum, truncation, or structural corruption) before any
-    /// resume handshake could run. See
-    /// [`resume_service_bytes`](crate::ledger::wire::resume_service_bytes).
-    Corrupt(crate::ledger::WireError),
+    /// The checkpoint failed the resume handshake the fleet uses too:
+    /// its admission count, a derived seed, or a slot's report/ledger
+    /// presence disagrees with the re-derived plan. Indices are
+    /// admission indices.
+    Checkpoint(FleetResumeError),
 }
 
 impl std::fmt::Display for ServiceResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceResumeError::Plan(e) => write!(f, "config no longer plans: {e}"),
-            ServiceResumeError::ShapeMismatch {
-                checkpoint,
-                service,
-            } => write!(
-                f,
-                "checkpoint has {checkpoint} admissions, config plans {service}"
-            ),
-            ServiceResumeError::SeedMismatch { index } => write!(
-                f,
-                "admission {index}'s derived seed differs from the checkpoint — \
-                 checkpoint does not belong to this service config"
-            ),
-            ServiceResumeError::LedgerMismatch { index } => write!(
-                f,
-                "admission {index} has a committed report and ledger that \
-                 disagree on presence — the checkpoint is inconsistent"
-            ),
-            ServiceResumeError::Corrupt(e) => write!(f, "corrupt checkpoint bytes: {e}"),
+            ServiceResumeError::Checkpoint(e) => write!(f, "checkpoint refused: {e}"),
         }
     }
 }
@@ -1022,39 +1001,16 @@ pub fn run_service_until(
     max_commits: usize,
 ) -> Result<ServiceCheckpoint, ServiceError> {
     let plan = plan_service(cfg)?;
-    let configs = admitted_configs(cfg, &plan);
-    let tasks: Vec<(usize, CampaignConfig)> = plan
-        .dispatch_order
-        .iter()
-        .map(|&ai| (ai, configs[ai].clone()))
-        .collect();
-    let mut completed: Vec<Option<CampaignReport>> =
-        (0..plan.admitted.len()).map(|_| None).collect();
-    let mut ledgers: Vec<Option<CampaignLedger>> = (0..plan.admitted.len()).map(|_| None).collect();
-    for (ai, (report, ledger)) in
-        execute_fleet_tasks_with(&tasks, cfg.effective_threads(), Some(max_commits), |c| {
-            run_campaign_recorded(space, c)
-        })
-    {
-        completed[ai] = Some(report);
-        ledgers[ai] = Some(ledger);
-    }
+    let mut slots = empty_slots(plan.admitted.len());
+    fill_session(space, cfg, &plan, &mut slots, Some(max_commits));
+    let (completed, ledgers) = split_slots(slots);
     let committed = completed.iter().filter(|c| c.is_some()).count();
-    let events = vec![
-        CampaignEvent::CoordinatorKilled {
-            after_commits: committed,
-        },
-        CampaignEvent::CheckpointTaken {
-            committed,
-            total: completed.len(),
-        },
-    ];
     Ok(ServiceCheckpoint {
         master_seed: cfg.master_seed,
         seeds: plan.admitted.iter().map(|a| a.seed).collect(),
+        events: kill_events(committed, completed.len()),
         completed,
         ledgers,
-        events,
     })
 }
 
@@ -1072,66 +1028,16 @@ pub fn resume_service(
     checkpoint: &ServiceCheckpoint,
 ) -> Result<(ServiceReport, FleetLedger), ServiceResumeError> {
     let plan = plan_service(cfg).map_err(ServiceResumeError::Plan)?;
-    if checkpoint.seeds.len() != plan.admitted.len()
-        || checkpoint.completed.len() != plan.admitted.len()
-        || checkpoint.ledgers.len() != plan.admitted.len()
-    {
-        return Err(ServiceResumeError::ShapeMismatch {
-            checkpoint: checkpoint
-                .seeds
-                .len()
-                .max(checkpoint.completed.len())
-                .max(checkpoint.ledgers.len()),
-            service: plan.admitted.len(),
-        });
-    }
-    for (i, a) in plan.admitted.iter().enumerate() {
-        if a.seed != checkpoint.seeds[i] {
-            return Err(ServiceResumeError::SeedMismatch { index: i });
-        }
-    }
-    if let Some(index) = checkpoint
-        .ledgers
-        .iter()
-        .zip(&checkpoint.completed)
-        .position(|(l, r)| l.is_some() != r.is_some())
-    {
-        return Err(ServiceResumeError::LedgerMismatch { index });
-    }
-
-    let configs = admitted_configs(cfg, &plan);
-    let missing: Vec<(usize, CampaignConfig)> = plan
-        .dispatch_order
-        .iter()
-        .filter(|&&ai| checkpoint.completed[ai].is_none())
-        .map(|&ai| (ai, configs[ai].clone()))
-        .collect();
-    let mut reports: Vec<Option<CampaignReport>> = checkpoint.completed.clone();
-    let mut ledgers: Vec<Option<CampaignLedger>> = checkpoint.ledgers.clone();
-    for (ai, (report, ledger)) in
-        execute_fleet_tasks_with(&missing, cfg.effective_threads(), None, |c| {
-            run_campaign_recorded(space, c)
-        })
-    {
-        reports[ai] = Some(report);
-        ledgers[ai] = Some(ledger);
-    }
-    let ordered: Vec<CampaignReport> = reports
-        .into_iter()
-        .map(|r| r.expect("checkpointed or just re-run"))
-        .collect();
-    let campaigns: Vec<CampaignLedger> = ledgers
-        .into_iter()
-        .map(|l| l.expect("checkpointed or just re-run"))
-        .collect();
-    let report = assemble_report(cfg, &plan, ordered);
-    Ok((
-        report,
-        FleetLedger {
-            master_seed: cfg.master_seed,
-            campaigns,
-        },
-    ))
+    let seeds: Vec<u64> = plan.admitted.iter().map(|a| a.seed).collect();
+    check_handshake(
+        &seeds,
+        &checkpoint.seeds,
+        &checkpoint.completed,
+        Some(&checkpoint.ledgers),
+    )
+    .map_err(ServiceResumeError::Checkpoint)?;
+    let slots = paired_slots(&checkpoint.completed, &checkpoint.ledgers);
+    Ok(complete_session(space, cfg, &plan, slots, &mut []))
 }
 
 #[cfg(test)]
@@ -1353,22 +1259,32 @@ mod tests {
         other.master_seed = 999;
         assert_eq!(
             resume_service(&space, &other, &ckpt).unwrap_err(),
-            ServiceResumeError::SeedMismatch { index: 0 }
+            ServiceResumeError::Checkpoint(FleetResumeError::SeedMismatch { index: 0 })
         );
 
         let mut bigger = cfg.clone();
         bigger.submit("alice", campaign());
         assert!(matches!(
             resume_service(&space, &bigger, &ckpt).unwrap_err(),
-            ServiceResumeError::ShapeMismatch { .. }
+            ServiceResumeError::Checkpoint(FleetResumeError::ShapeMismatch { .. })
         ));
+
+        let mut short = ckpt.clone();
+        short.ledgers.pop();
+        assert_eq!(
+            resume_service(&space, &cfg, &short).unwrap_err(),
+            ServiceResumeError::Checkpoint(FleetResumeError::ShapeMismatch {
+                checkpoint: 6,
+                fleet: 6
+            })
+        );
 
         let mut torn = ckpt.clone();
         let committed = torn.completed.iter().position(|c| c.is_some()).unwrap();
         torn.ledgers[committed] = None;
         assert_eq!(
             resume_service(&space, &cfg, &torn).unwrap_err(),
-            ServiceResumeError::LedgerMismatch { index: committed }
+            ServiceResumeError::Checkpoint(FleetResumeError::LedgerMismatch { index: committed })
         );
 
         let mut broken = cfg.clone();

@@ -9,8 +9,9 @@
 //! cargo run --release --example fleet_campaign
 //! ```
 
-use evoflow::core::{run_campaign_fleet_timed, Cell, FleetConfig, MaterialsSpace};
+use evoflow::core::{run_campaign_fleet, Cell, FleetConfig, MaterialsSpace};
 use evoflow::sim::SimDuration;
+use std::time::Instant;
 
 fn build_fleet(threads: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(2026);
@@ -44,24 +45,29 @@ fn main() {
 
     println!("== fleet: 12 campaigns across the evolution matrix ==\n");
 
-    let (serial, serial_t) = run_campaign_fleet_timed(&space, &build_fleet(1));
+    let started = Instant::now();
+    let serial = run_campaign_fleet(&space, &build_fleet(1));
+    let serial_wall = started.elapsed();
     println!(
         "serial    : {} campaigns, {} experiments in {:.2?}",
         serial.reports.len(),
         serial.total_experiments,
-        serial_t.wall_clock
+        serial_wall
     );
 
-    let (parallel, parallel_t) = run_campaign_fleet_timed(&space, &build_fleet(0));
+    let parallel_cfg = build_fleet(0);
+    let started = Instant::now();
+    let parallel = run_campaign_fleet(&space, &parallel_cfg);
+    let parallel_wall = started.elapsed();
     println!(
         "parallel  : {} campaigns, {} experiments in {:.2?} ({} threads)",
         parallel.reports.len(),
         parallel.total_experiments,
-        parallel_t.wall_clock,
-        parallel_t.threads
+        parallel_wall,
+        parallel_cfg.effective_threads()
     );
 
-    let speedup = serial_t.wall_clock.as_secs_f64() / parallel_t.wall_clock.as_secs_f64().max(1e-9);
+    let speedup = serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-9);
     println!("speedup   : {speedup:.2}×");
 
     assert_eq!(serial, parallel, "fleet results are thread-count invariant");

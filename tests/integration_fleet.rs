@@ -3,7 +3,8 @@
 //! between fleet aggregates and the underlying campaign engine.
 
 use evoflow::core::{
-    run_campaign, run_campaign_fleet, run_campaign_fleet_timed, Cell, FleetConfig, MaterialsSpace,
+    run_campaign, run_campaign_fleet, run_campaign_fleet_profiled, Cell, FleetConfig,
+    MaterialsSpace,
 };
 use evoflow::sim::SimDuration;
 
@@ -90,7 +91,7 @@ fn fleet_matches_single_campaign_engine() {
 #[test]
 fn timed_variant_reports_threads_and_elapsed() {
     let space = MaterialsSpace::generate(3, 8, 4242);
-    let (report, timing) = run_campaign_fleet_timed(&space, &heterogeneous_fleet(7, 2));
+    let (report, _, _, timing) = run_campaign_fleet_profiled(&space, &heterogeneous_fleet(7, 2));
     assert_eq!(timing.threads, 2);
     assert!(timing.wall_clock.as_nanos() > 0);
     assert!(report.total_experiments > 0);
